@@ -8,19 +8,26 @@
 // Each client owns one connection with strict request/response
 // alternation (exactly the protocol contract), so QPS scales with the
 // client count and the latency numbers are honest per-request round
-// trips. scripts/bench.sh serve merges the JSON into BENCH_serve.json.
+// trips. Every reply is decoded, and any ErrorResponse fails the run
+// (exit 1): a refused request measures nothing. scripts/bench.sh serve
+// merges the JSON into BENCH_serve.json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/session.hpp"
+#include "api/wire.hpp"
+#include "apps/registry.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "serve/chaos.hpp"
@@ -66,15 +73,57 @@ api::Request lookup_request(std::uint64_t i) {
       .run(std::uint32_t(i % 8));
 }
 
+/// Forecast window per dataset: `m` history steps, `k` forecast steps.
+/// Each must fit its application's run (m + k <= steps; UMT has 7), which
+/// main() checks against the app models before any request is sent.
+struct ForecastShape {
+  const char* app;
+  int m;
+  int k;
+};
+constexpr ForecastShape kForecastShapes[] = {{"MILC", 10, 20}, {"UMT", 3, 3}};
+
+/// Window centers t (history [t - m, t)) per dataset, filled by main():
+/// up to 20 positions with t + k inside the run.
+int forecast_centers[std::size(kForecastShapes)] = {};
+
 api::Request forecast_request(std::uint64_t i) {
+  const std::size_t d = std::size_t(i % 2);
+  const ForecastShape& f = kForecastShapes[d];
   return api::ForecastRequest{}
-      .app(i % 2 ? "UMT" : "MILC")
+      .app(f.app)
       .nodes(128)
       .run(std::uint32_t(i % 8))
-      .center(10 + int(i % 20))
-      .m(10)
-      .k(20);
+      .center(f.m + int((i / 2) % std::uint64_t(forecast_centers[d])))
+      .m(f.m)
+      .k(f.k);
 }
+
+/// Error replies of one phase: a phase whose requests are refused has
+/// measured nothing, so any ErrorResponse fails it.
+struct ReplyCheck {
+  std::atomic<std::uint64_t> errors{0};
+  std::mutex mu;
+  std::string first;  ///< guarded by mu
+
+  void check(const std::string& raw) {
+    DFV_CHECK_MSG(!raw.empty(), "bench_serve: empty response payload");
+    const api::Response resp = api::decode_response(raw);
+    const auto* err = std::get_if<api::ErrorResponse>(&resp);
+    if (err == nullptr) return;
+    if (errors.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      first = std::string(api::to_string(err->code)) + ": " + err->message;
+    }
+  }
+  void require_none(const std::string& phase) {
+    std::lock_guard<std::mutex> lock(mu);
+    DFV_CHECK_MSG(errors.load() == 0, "bench_serve: phase " << phase << " got "
+                                                            << errors.load()
+                                                            << " error responses, first: "
+                                                            << first);
+  }
+};
 
 template <typename MakeReq>
 PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t port,
@@ -85,6 +134,7 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
   std::vector<std::vector<double>> latencies(std::size_t(opt.clients));
   std::vector<std::thread> threads;
   threads.reserve(std::size_t(opt.clients));
+  ReplyCheck replies;
 
   for (int c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
@@ -93,7 +143,8 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
       // Warmup outside the timed window: touch every key in the rotation
       // so shard-resident models are trained before measurement.
       for (std::uint64_t i = 0; i < 16; ++i)
-        (void)client.call(make_req(i * std::uint64_t(opt.clients) + std::uint64_t(c)));
+        replies.check(
+            client.call_raw(make_req(i * std::uint64_t(opt.clients) + std::uint64_t(c))));
       auto& lat = latencies[std::size_t(c)];
       lat.reserve(1u << 16);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -103,8 +154,8 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
         const auto t0 = std::chrono::steady_clock::now();
         const std::string raw = client.call_raw(req);
         const auto t1 = std::chrono::steady_clock::now();
-        DFV_CHECK_MSG(!raw.empty(), "bench_serve: empty response payload");
         lat.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+        replies.check(raw);
       }
     });
   }
@@ -116,6 +167,7 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
   for (auto& t : threads) t.join();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  replies.require_none(name);
 
   std::vector<double> all;
   for (const auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
@@ -145,6 +197,7 @@ PhaseResult run_degraded_phase(const Options& opt, std::uint16_t proxy_port) {
   std::vector<std::vector<double>> latencies(std::size_t(opt.clients));
   std::vector<std::thread> threads;
   threads.reserve(std::size_t(opt.clients));
+  ReplyCheck replies;
 
   for (int c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
@@ -153,7 +206,8 @@ PhaseResult run_degraded_phase(const Options& opt, std::uint16_t proxy_port) {
       policy.jitter_seed = 0x9e3779b9u + std::uint32_t(c);  // distinct backoff streams
       serve::RetryClient client(proxy_port, policy);
       for (std::uint64_t i = 0; i < 16; ++i)
-        (void)client.call(lookup_request(i * std::uint64_t(opt.clients) + std::uint64_t(c)));
+        replies.check(client.call_raw(
+            lookup_request(i * std::uint64_t(opt.clients) + std::uint64_t(c))));
       auto& lat = latencies[std::size_t(c)];
       lat.reserve(1u << 16);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -163,8 +217,8 @@ PhaseResult run_degraded_phase(const Options& opt, std::uint16_t proxy_port) {
         const auto t0 = std::chrono::steady_clock::now();
         const std::string raw = client.call_raw(req);
         const auto t1 = std::chrono::steady_clock::now();
-        DFV_CHECK_MSG(!raw.empty(), "bench_serve: empty response payload");
         lat.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+        replies.check(raw);
       }
     });
   }
@@ -176,6 +230,7 @@ PhaseResult run_degraded_phase(const Options& opt, std::uint16_t proxy_port) {
   for (auto& t : threads) t.join();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  replies.require_none("degraded_lookup");
 
   std::vector<double> all;
   for (const auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
@@ -236,18 +291,23 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  set_log_level(LogLevel::Warn);
-  const Options opt = parse_args(argc, argv);
-
+/// The whole benchmark; throws on any failed phase.
+int run(const Options& opt) {
   serve::ServerOptions sopt;
   sopt.shards = opt.shards;
   sim::CampaignConfig cfg = sim::CampaignConfig::small(2026);
   cfg.days = 8;
   cfg.datasets = {{"MILC", 128}, {"UMT", 128}};
   sopt.session.config = cfg;
+
+  for (std::size_t d = 0; d < std::size(kForecastShapes); ++d) {
+    const ForecastShape& f = kForecastShapes[d];
+    const int steps = apps::make_app(f.app, 128)->info().time_steps;
+    DFV_CHECK_MSG(f.m >= 1 && f.k >= 1 && f.m + f.k <= steps,
+                  "bench_serve: forecast window m=" << f.m << " k=" << f.k << " does not fit "
+                                                    << f.app << "'s " << steps << " steps");
+    forecast_centers[d] = std::min(20, steps - f.k - f.m + 1);
+  }
 
   serve::Server server(std::move(sopt));
   server.start();
@@ -284,4 +344,16 @@ int main(int argc, char** argv) {
 
   if (!opt.json_path.empty()) write_json(opt.json_path, opt, phases);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  set_log_level(LogLevel::Warn);
+  try {
+    return run(parse_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 1;
+  }
 }

@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the substrates: topology path
 // construction, adaptive path choice, flow-model transfers, background
-// routing, counter synthesis, packet DES throughput, GBR fitting, and
-// attention training steps. These quantify the engineering claims in
-// DESIGN.md (e.g. "one campaign step in well under a millisecond").
+// routing, counter synthesis, the LDMS scan, packet DES throughput, GBR
+// fitting, and attention training steps. These quantify the engineering
+// claims in DESIGN.md (e.g. the per-step phase split of §5).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -19,9 +19,11 @@
 #include "ml/gbr.hpp"
 #include "ml/rfe.hpp"
 #include "mon/counter_model.hpp"
+#include "mon/ldms.hpp"
 #include "net/flow_model.hpp"
 #include "net/packet_sim.hpp"
 #include "sched/allocator.hpp"
+#include "sched/workload.hpp"
 #include "sim/campaign.hpp"
 #include "sim/cluster.hpp"
 #include "synthetic.hpp"
@@ -123,6 +125,42 @@ void BM_CounterSynthesis128Routers(benchmark::State& state) {
     benchmark::DoNotOptimize(model.aggregate(routers, bg, job, 7.0));
 }
 BENCHMARK(BM_CounterSynthesis128Routers)->Unit(benchmark::kMicrosecond);
+
+void BM_LdmsSample(benchmark::State& state) {
+  // One LDMS sample per campaign step: the io and sys aggregates over a
+  // loaded Cori (two routed 1024-node background jobs) with one MILC-128
+  // step's job bytes. The sys aggregate scans every directed link.
+  const auto& topo = cori();
+  const net::FlowModel flow(topo);
+  const mon::CounterModel model(topo);
+  const mon::LdmsSampler ldms(model, mon::make_default_io_routers(topo, 1));
+  sched::NodeAllocator alloc(topo);
+  Rng rng(13);
+  net::RateLoads bg;
+  bg.resize(topo);
+  for (const auto pattern : {sched::BgPattern::UniformPairs, sched::BgPattern::IoHeavy}) {
+    const auto placement = sched::make_placement(
+        alloc.allocate(1024, sched::AllocPolicy::Clustered, rng), topo);
+    sched::TrafficSpec spec;
+    spec.net_bytes_per_node_per_s = 1e9;
+    spec.io_bytes_per_node_per_s = 0.3e9;
+    spec.pattern = pattern;
+    flow.route_background(sched::generate_background_demands(placement, spec,
+                                                              ldms.io_routers(), topo, rng),
+                          net::RoutingPolicy::Ugal, 1.0, rng, bg);
+  }
+  const auto placement =
+      sched::make_placement(alloc.allocate(128, sched::AllocPolicy::Clustered, rng), topo);
+  const auto step = apps::make_milc(128)->step(40, placement, topo, rng);
+  net::ByteLoads job;
+  job.resize(topo);
+  for (const auto& phase : step.phases)
+    if (phase.kind == apps::PhaseSpec::Kind::PointToPoint)
+      (void)flow.transfer(phase.demands, net::RoutingPolicy::Ugal, bg, rng, &job);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ldms.sample(bg, job, 7.0, placement.routers));
+}
+BENCHMARK(BM_LdmsSample)->Unit(benchmark::kMicrosecond);
 
 void BM_PacketSimUniform(benchmark::State& state) {
   const net::Topology topo(net::DragonflyConfig::small(6));

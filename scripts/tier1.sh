@@ -28,12 +28,24 @@ echo "strict build: clean"
 
 (cd build && ctest --output-on-failure -j)
 
+# Repeat stage: the serve chaos suite exercises drain, deadline and
+# eviction edges whose outcome must not depend on how fast the host
+# handles requests; twenty back-to-back runs catch a test that only
+# passes when the timing happens to line up.
+echo "=== chaos repeat (test_serve_chaos x20) ==="
+./build/tests/test_serve_chaos --gtest_repeat=20 --gtest_brief=1
+
 # Benchmark smoke run: the perf binaries must build and execute (one
 # iteration each), so perf-path regressions that only compile under the
 # bench target cannot slip through tier-1. Numbers from this run are
 # meaningless; scripts/bench.sh produces the real trajectory.
 ./build/bench/micro_benchmarks \
   --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid' \
+  --benchmark_min_time=0.01 >/dev/null
+# Campaign-layer smoke: adaptive path choice, one MILC step's flow
+# transfer, per-job counter synthesis and the system-wide LDMS scan.
+./build/bench/micro_benchmarks \
+  --benchmark_filter='BM_UgalChoice|BM_FlowTransferMilcStep|BM_CounterSynthesis128Routers|BM_LdmsSample' \
   --benchmark_min_time=0.01 >/dev/null
 # Compiled-inference smoke (BM_ForecastOne is excluded: it would build a
 # second campaign; the serve smoke below covers that path end to end).

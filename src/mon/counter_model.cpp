@@ -15,7 +15,7 @@ double CounterModel::link_utilization(net::LinkId e, const net::RateLoads& bg,
                                       const net::ByteLoads& job, double dt) const {
   const auto idx = std::size_t(e);
   const double rate = bg.link_rate[idx] + job.link_bytes[idx] / dt;
-  return rate / topo_->link(e).capacity;
+  return rate / topo_->capacity(e);
 }
 
 CounterVec CounterModel::router_counters(net::RouterId r, const net::RateLoads& bg,
@@ -32,7 +32,7 @@ CounterVec CounterModel::router_counters(net::RouterId r, const net::RateLoads& 
   for (net::LinkId e : ins) {
     const auto idx = std::size_t(e);
     const double bytes = bg.link_rate[idx] * dt + job.link_bytes[idx];
-    const double u = bytes / (topo_->link(e).capacity * dt);
+    const double u = bytes / (topo_->capacity(e) * dt);
     in_flits += bytes / flit;
     const double sf = net::stall_fraction(u);
     in_stall += params_.in_stall_weight * sf;

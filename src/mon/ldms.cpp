@@ -34,6 +34,12 @@ LdmsSampler::LdmsSampler(const CounterModel& model, std::vector<net::RouterId> i
 LdmsFeatures LdmsSampler::sample(const net::RateLoads& bg, const net::ByteLoads& job,
                                  double dt,
                                  std::span<const net::RouterId> job_routers) const {
+  return sample_with_job_counters(bg, job, dt, model_->aggregate(job_routers, bg, job, dt));
+}
+
+LdmsFeatures LdmsSampler::sample_with_job_counters(const net::RateLoads& bg,
+                                                   const net::ByteLoads& job, double dt,
+                                                   const CounterVec& job_counters) const {
   const net::Topology& topo = model_->topology();
   const auto& cfg = topo.config();
   const double flit = cfg.flit_bytes;
@@ -67,18 +73,50 @@ LdmsFeatures LdmsSampler::sample(const net::RateLoads& bg, const net::ByteLoads&
 
   // ---- sys aggregate: system totals (one pass over links + router
   // endpoint arrays) minus the instrumented job's routers ----------------
+  //
+  // The link scan visits every directed link each step. Within a chunk it
+  // walks the three link-class id ranges (one capacity each) in blocks. A
+  // block first gathers the byte totals of its busy links, branch-free
+  // and in link order; the per-link terms of those are then computed
+  // branch-free and added serially in that order. Idle links are skipped
+  // just as a per-link loop would skip them, so each chunk partial is the
+  // same left-to-right sum.
   const auto& prm = model_->params();
+  const double stall_w = cycles * (prm.in_stall_weight + prm.out_stall_weight);
+  const std::size_t L = std::size_t(topo.num_links());
+  const std::size_t class_end[3] = {std::size_t(topo.black_base()),
+                                    std::size_t(topo.blue_base()), L};
   const Acc link_tot = exec::parallel_reduce(
-      0, std::size_t(topo.num_links()), 16384, Acc{},
+      0, L, 16384, Acc{},
       [&](std::size_t lo, std::size_t hi) {
+        constexpr std::size_t kBlock = 256;
+        double busy[kBlock], flits[kBlock], stalls[kBlock];
         Acc p{};
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const double bytes = bg.link_rate[idx] * dt + job.link_bytes[idx];
-          if (bytes <= 0.0) continue;
-          const double u = bytes / (topo.link(net::LinkId(int(idx))).capacity * dt);
-          p[0] += bytes / flit;
-          p[1] += cycles * (prm.in_stall_weight + prm.out_stall_weight) *
-                  net::stall_fraction(u);
+        std::size_t b = lo;
+        for (const std::size_t end : class_end) {
+          const std::size_t seg_hi = std::min(hi, end);
+          if (b >= seg_hi) continue;
+          const double cap_dt = topo.capacity(net::LinkId(int(b))) * dt;
+          while (b < seg_hi) {
+            const std::size_t n = std::min(kBlock, seg_hi - b);
+            const double* rate = bg.link_rate.data() + b;
+            const double* jb = job.link_bytes.data() + b;
+            std::size_t m = 0;
+            for (std::size_t j = 0; j < n; ++j) {
+              const double bytes = rate[j] * dt + jb[j];
+              busy[m] = bytes;
+              m += bytes <= 0.0 ? 0 : 1;
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+              flits[j] = busy[j] / flit;
+              stalls[j] = stall_w * net::stall_fraction(busy[j] / cap_dt);
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+              p[0] += flits[j];
+              p[1] += stalls[j];
+            }
+            b += n;
+          }
         }
         return p;
       },
@@ -97,20 +135,9 @@ LdmsFeatures LdmsSampler::sample(const net::RateLoads& bg, const net::ByteLoads&
       },
       [](double a, double b) { return a + b; });
 
-  const Acc job_tot = exec::parallel_reduce(
-      0, job_routers.size(), 8, Acc{},
-      [&](std::size_t lo, std::size_t hi) {
-        Acc p{};
-        for (std::size_t i = lo; i < hi; ++i) {
-          const CounterVec v = model_->router_counters(job_routers[i], bg, job, dt);
-          p[0] += v[size_t(Counter::RT_FLIT_TOT)];
-          p[1] += v[size_t(Counter::RT_RB_STL)];
-          p[2] += v[size_t(Counter::PT_FLIT_TOT)];
-        }
-        return p;
-      },
-      add4);
-  const double job_rt_flit = job_tot[0], job_rt_stl = job_tot[1], job_pt_flit = job_tot[2];
+  const double job_rt_flit = job_counters[size_t(Counter::RT_FLIT_TOT)];
+  const double job_rt_stl = job_counters[size_t(Counter::RT_RB_STL)];
+  const double job_pt_flit = job_counters[size_t(Counter::PT_FLIT_TOT)];
 
   f.sys[0] = std::max(0.0, tot_rt_flit - job_rt_flit);
   f.sys[1] = std::max(0.0, tot_rt_stl - job_rt_stl);

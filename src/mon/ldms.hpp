@@ -37,6 +37,13 @@ class LdmsSampler {
                                     double dt,
                                     std::span<const net::RouterId> job_routers) const;
 
+  /// The same, given `job_counters` = CounterModel::aggregate over the
+  /// job's routers for this interval (which a campaign step records
+  /// anyway), so those routers are not synthesized a second time.
+  [[nodiscard]] LdmsFeatures sample_with_job_counters(const net::RateLoads& bg,
+                                                      const net::ByteLoads& job, double dt,
+                                                      const CounterVec& job_counters) const;
+
   [[nodiscard]] const std::vector<net::RouterId>& io_routers() const noexcept {
     return io_routers_;
   }

@@ -9,8 +9,10 @@
 // DES in packet_sim.hpp validates its qualitative behavior.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,8 +50,17 @@ struct FlowModelParams {
 
 /// Utilization -> stall-cycles-per-cycle shape: queueing-style growth that
 /// stays near zero below ~60% utilization and explodes as u -> 1.
-/// Exposed so the monitoring layer and tests share one definition.
-[[nodiscard]] double stall_fraction(double utilization) noexcept;
+/// Exposed so the monitoring layer and tests share one definition; inline
+/// because the LDMS scan evaluates it for every directed link each step.
+[[nodiscard]] inline double stall_fraction(double utilization) noexcept {
+  // Queueing-style growth: negligible below ~40% utilization, steep near
+  // saturation. The value is "stall cycles per cycle" aggregated over the
+  // VCs of a tile, so it may exceed 1; clamp to keep counters finite when
+  // demand far exceeds capacity.
+  const double u = std::min(utilization, 1.2);
+  const double s = std::max(0.0, u - 0.15);
+  return std::min(6.0, s * s / std::max(0.05, 1.02 - u));
+}
 
 class FlowModel {
  public:
@@ -80,14 +91,36 @@ class FlowModel {
   const Topology* topo_;
   FlowModelParams params_;
   PathChooser chooser_;
-  /// Scratch buffers reused across transfer() calls (link rates plus the
-  /// epoch-stamped resource->dense-index table of the max-min solve).
-  /// FlowModel is therefore not safe for concurrent transfer() calls on
-  /// one instance; transfer() itself parallelizes internally via dfv::exec.
-  mutable std::vector<double> scratch_rate_;
-  mutable std::vector<std::uint32_t> res_stamp_;
-  mutable std::vector<std::uint32_t> res_dense_;
-  mutable std::uint32_t res_epoch_ = 0;
+  /// Per-call arrays of transfer(), kept across calls so that a phase
+  /// allocates nothing once they have grown to its size. Chunk-flows are
+  /// structure-of-arrays indexed by flow id; a resource is a link id, then
+  /// L+r (router r's injection) or L+R+r (its ejection), dense-indexed in
+  /// first-touch order.
+  struct TransferScratch {
+    std::vector<double> est_rate;            ///< background + self load seen by routing
+    std::vector<std::size_t> msg_flow;       ///< message i owns flows [msg_flow[i], msg_flow[i+1])
+    std::vector<std::size_t> flow_msg;       ///< flow -> message
+    std::vector<double> flow_bytes;
+    std::vector<double> flow_rate;
+    std::vector<Path> flow_path;             ///< chunk route (empty for same-router traffic)
+    std::vector<std::uint32_t> flow_off;     ///< flow -> its slice of refs
+    std::vector<std::uint32_t> refs;         ///< dense resource ids, flow by flow
+    std::vector<std::size_t> used;           ///< dense id -> resource
+    std::vector<double> residual;
+    std::vector<int> nflows;
+    std::vector<std::uint32_t> radj_off;     ///< dense id -> its slice of radj_items
+    std::vector<std::uint32_t> radj_items;   ///< flows crossing each resource
+    std::vector<std::uint32_t> cursor;
+    std::vector<char> done;
+    std::vector<std::pair<double, std::uint32_t>> heap;  ///< (share, dense id) min-heap
+    std::vector<std::uint32_t> res_stamp;    ///< resource -> epoch of last touch
+    std::vector<std::uint32_t> res_dense;    ///< resource -> dense id (valid if stamped)
+    std::uint32_t res_epoch = 0;
+  };
+  /// Because of this scratch, FlowModel is not safe for concurrent
+  /// transfer() calls on one instance; transfer() itself parallelizes
+  /// internally via dfv::exec.
+  mutable TransferScratch scratch_;
 };
 
 }  // namespace dfv::net

@@ -53,16 +53,15 @@ PacketStats PacketSim::run() {
       // Path chosen per-packet when it enters the network, against the
       // *current* backlog state — the approximation of Aries' per-hop
       // back-pressure-driven adaptive choice.
-      Path path = chooser_.choose(p.src, p.dst, params_.policy, queue_rate_, rng_);
-      p.path = std::move(path.links);
+      p.path = chooser_.choose(p.src, p.dst, params_.policy, queue_rate_, rng_);
       p.routed = true;
     }
 
-    if (p.hop >= p.path.size()) {
+    if (p.hop >= p.path.hops()) {
       // Arrived at destination router: eject.
       const double lat = now - p.inject_time;
       delivered_latencies.push_back(lat);
-      total_hops += double(p.path.size());
+      total_hops += double(p.path.hops());
       ++stats_.delivered;
       stats_.delivered_bytes += double(params_.packet_flits) * flit_s;
       stats_.sim_time = std::max(stats_.sim_time, now);

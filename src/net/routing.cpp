@@ -20,10 +20,8 @@ double PathChooser::path_cost(const Path& p, std::span<const double> link_rate,
   double cost = double(p.hops());
   if (non_minimal) cost += params_.valiant_hop_penalty * double(p.hops());
   if (!link_rate.empty()) {
-    for (LinkId id : p.links) {
-      const LinkInfo& li = topo_->link(id);
-      cost += params_.congestion_weight * link_rate[std::size_t(id)] / li.capacity;
-    }
+    for (LinkId id : p)
+      cost += params_.congestion_weight * link_rate[std::size_t(id)] / topo_->capacity(id);
   }
   return cost;
 }
@@ -79,7 +77,7 @@ Path PathChooser::choose(RouterId src, RouterId dst, RoutingPolicy policy,
         const double c = path_cost(p, link_rate, /*non_minimal=*/false);
         if (c < best_cost) {
           best_cost = c;
-          best = std::move(p);
+          best = p;
         }
       }
       if (can_valiant && topo_->group_of(src) != topo_->group_of(dst)) {
@@ -88,7 +86,7 @@ Path PathChooser::choose(RouterId src, RouterId dst, RoutingPolicy policy,
           const double c = path_cost(p, link_rate, /*non_minimal=*/true);
           if (c < best_cost) {
             best_cost = c;
-            best = std::move(p);
+            best = p;
           }
         }
       }

@@ -29,6 +29,8 @@ void DragonflyConfig::validate() const {
 
 Topology::Topology(const DragonflyConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
+  per_group_ = ConstDivisor(cfg_.routers_per_group());
+  per_row_ = ConstDivisor(cfg_.row_size);
   blue_copies_ = cfg_.links_per_group_pair();
   build_links();
 }
@@ -130,29 +132,28 @@ RouterId Topology::gateway(GroupId g, GroupId peer, int k) const {
   // budget and spreads gateways across rows and columns.
   const int peer_rank = peer < g ? peer : peer - 1;
   const int idx = peer_rank * blue_copies_ + k;
-  return RouterId(g * cfg_.routers_per_group() + idx % cfg_.routers_per_group());
+  return RouterId(g * cfg_.routers_per_group() + per_group_.mod(idx));
 }
 
 void Topology::append_intra_path(GroupId g, int from_idx, int to_idx, IntraOrder order,
                                  Path& path) const {
   if (from_idx == to_idx) return;
-  const int R = cfg_.row_size;
-  const int fr = from_idx / R, fc = from_idx % R;
-  const int tr = to_idx / R, tc = to_idx % R;
+  const int fr = per_row_.div(from_idx), fc = per_row_.mod(from_idx);
+  const int tr = per_row_.div(to_idx), tc = per_row_.mod(to_idx);
   if (fr == tr) {
-    path.links.push_back(green_link(g, fr, fc, tc));
+    path.push_back(green_link(g, fr, fc, tc));
     return;
   }
   if (fc == tc) {
-    path.links.push_back(black_link(g, fc, fr, tr));
+    path.push_back(black_link(g, fc, fr, tr));
     return;
   }
   if (order == IntraOrder::RowFirst) {
-    path.links.push_back(green_link(g, fr, fc, tc));
-    path.links.push_back(black_link(g, tc, fr, tr));
+    path.push_back(green_link(g, fr, fc, tc));
+    path.push_back(black_link(g, tc, fr, tr));
   } else {
-    path.links.push_back(black_link(g, fc, fr, tr));
-    path.links.push_back(green_link(g, tr, fc, tc));
+    path.push_back(black_link(g, fc, fr, tr));
+    path.push_back(green_link(g, tr, fc, tc));
   }
 }
 
@@ -168,7 +169,7 @@ Path Topology::minimal_path(RouterId src, RouterId dst, int k, IntraOrder src_or
   const RouterId gwa = gateway(ga, gb, k);
   const RouterId gwb = gateway(gb, ga, k);
   append_intra_path(ga, local_index(src), local_index(gwa), src_order, p);
-  p.links.push_back(blue_link(ga, gb, k));
+  p.push_back(blue_link(ga, gb, k));
   append_intra_path(gb, local_index(gwb), local_index(dst), dst_order, p);
   return p;
 }
@@ -182,12 +183,12 @@ Path Topology::valiant_path(RouterId src, RouterId dst, GroupId via_group, int k
   // Leg 1: minimal to the intermediate group's gateway router.
   const RouterId gwa = gateway(ga, via_group, k1);
   append_intra_path(ga, local_index(src), local_index(gwa), order, p);
-  p.links.push_back(blue_link(ga, via_group, k1));
+  p.push_back(blue_link(ga, via_group, k1));
   const RouterId mid = gateway(via_group, ga, k1);
   // Leg 2: minimal from the intermediate router to the destination.
   const RouterId gwv = gateway(via_group, gb, k2);
   append_intra_path(via_group, local_index(mid), local_index(gwv), order, p);
-  p.links.push_back(blue_link(via_group, gb, k2));
+  p.push_back(blue_link(via_group, gb, k2));
   const RouterId gwb = gateway(gb, via_group, k2);
   append_intra_path(gb, local_index(gwb), local_index(dst), order, p);
   return p;
@@ -195,13 +196,13 @@ Path Topology::valiant_path(RouterId src, RouterId dst, GroupId via_group, int k
 
 double Topology::path_latency(const Path& p) const {
   double t = 0.0;
-  for (LinkId id : p.links) t += link(id).latency;
+  for (LinkId id : p) t += latency(id);
   return t;
 }
 
 bool Topology::path_connects(const Path& p, RouterId src, RouterId dst) const {
   RouterId cur = src;
-  for (LinkId id : p.links) {
+  for (LinkId id : p) {
     if (id < 0 || id >= num_links()) return false;
     const LinkInfo& li = link(id);
     if (li.from != cur) return false;

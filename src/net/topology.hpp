@@ -6,9 +6,13 @@
 // control behaves and what the per-tile Aries counters observe.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "net/config.hpp"
 
 namespace dfv::net {
@@ -27,12 +31,57 @@ struct LinkInfo {
   double latency = 0.0;   ///< seconds
 };
 
-/// A route through the network: the ordered list of directed links.
-/// An empty path means source and destination routers coincide.
-struct Path {
-  std::vector<LinkId> links;
+/// Longest route any policy builds: Valiant's source, intermediate and
+/// destination intra-group legs of up to two hops each, plus its two blue
+/// hops (2 + 1 + 2 + 1 + 2). Minimal routes take at most 5.
+inline constexpr std::size_t kMaxPathHops = 8;
 
-  [[nodiscard]] std::size_t hops() const noexcept { return links.size(); }
+/// A route through the network: the ordered list of directed links, held
+/// inline so that building, comparing and copying candidate routes never
+/// allocates. An empty path means source and destination routers
+/// coincide. Appending a link past kMaxPathHops is a contract error.
+class Path {
+ public:
+  void push_back(LinkId id) {
+    DFV_CHECK_MSG(n_ < kMaxPathHops, "path longer than " << kMaxPathHops << " hops");
+    links_[n_++] = id;
+  }
+
+  [[nodiscard]] std::size_t hops() const noexcept { return n_; }
+  [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
+  [[nodiscard]] const LinkId* begin() const noexcept { return links_.data(); }
+  [[nodiscard]] const LinkId* end() const noexcept { return links_.data() + n_; }
+  [[nodiscard]] LinkId operator[](std::size_t i) const noexcept { return links_[i]; }
+
+ private:
+  std::array<LinkId, kMaxPathHops> links_{};
+  std::uint8_t n_ = 0;
+};
+
+/// Exact quotient and remainder of non-negative 32-bit values by a divisor
+/// fixed at construction, computed with multiply-high instead of a
+/// hardware divide (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019: exact for every 32-bit numerator). Route
+/// construction splits router ids into group/row/column several times per
+/// candidate path, and integer division dominated it.
+class ConstDivisor {
+ public:
+  ConstDivisor() = default;
+  explicit ConstDivisor(int d) {
+    DFV_CHECK_MSG(d >= 2, "ConstDivisor needs a divisor of at least 2, got " << d);
+    d_ = std::uint32_t(d);
+    c_ = ~std::uint64_t{0} / d_ + 1;
+  }
+  [[nodiscard]] int div(int n) const noexcept {
+    return int((__uint128_t(c_) * std::uint32_t(n)) >> 64);
+  }
+  [[nodiscard]] int mod(int n) const noexcept {
+    return int((__uint128_t(c_ * std::uint32_t(n)) * d_) >> 64);
+  }
+
+ private:
+  std::uint32_t d_ = 0;
+  std::uint64_t c_ = 0;
 };
 
 /// Intra-group 2-hop ordering choice (row-then-column or column-then-row).
@@ -46,17 +95,14 @@ class Topology {
   [[nodiscard]] const DragonflyConfig& config() const noexcept { return cfg_; }
 
   // ---- Coordinate math -------------------------------------------------
-  [[nodiscard]] GroupId group_of(RouterId r) const noexcept {
-    return r / cfg_.routers_per_group();
-  }
-  [[nodiscard]] int local_index(RouterId r) const noexcept {
-    return r % cfg_.routers_per_group();
-  }
+  // Router ids must be valid (non-negative); the splits use ConstDivisor.
+  [[nodiscard]] GroupId group_of(RouterId r) const noexcept { return per_group_.div(r); }
+  [[nodiscard]] int local_index(RouterId r) const noexcept { return per_group_.mod(r); }
   [[nodiscard]] int row_of(RouterId r) const noexcept {
-    return local_index(r) / cfg_.row_size;
+    return per_row_.div(local_index(r));
   }
   [[nodiscard]] int col_of(RouterId r) const noexcept {
-    return local_index(r) % cfg_.row_size;
+    return per_row_.mod(local_index(r));
   }
   [[nodiscard]] RouterId router_at(GroupId g, int row, int col) const noexcept {
     return RouterId(g * cfg_.routers_per_group() + row * cfg_.row_size + col);
@@ -72,6 +118,19 @@ class Topology {
   [[nodiscard]] int num_links() const noexcept { return int(links_.size()); }
   [[nodiscard]] const LinkInfo& link(LinkId id) const { return links_[std::size_t(id)]; }
   [[nodiscard]] const std::vector<LinkInfo>& links() const noexcept { return links_; }
+  /// Capacity and latency of a link, read from its class: link ids are
+  /// laid out as one contiguous range per class (green, black, blue), so
+  /// the hot paths need not stride through LinkInfo records.
+  [[nodiscard]] double capacity(LinkId id) const noexcept {
+    return id < black_base_ ? cfg_.green_bw : id < blue_base_ ? cfg_.black_bw : cfg_.blue_bw;
+  }
+  [[nodiscard]] double latency(LinkId id) const noexcept {
+    return id < blue_base_ ? cfg_.hop_latency : cfg_.global_latency;
+  }
+  /// First link id of each class: [0, black_base) green,
+  /// [black_base, blue_base) black, [blue_base, num_links) blue.
+  [[nodiscard]] LinkId black_base() const noexcept { return black_base_; }
+  [[nodiscard]] LinkId blue_base() const noexcept { return blue_base_; }
 
   /// Directed green link within group g, row `row`, from column c1 to c2 (c1 != c2).
   [[nodiscard]] LinkId green_link(GroupId g, int row, int c1, int c2) const;
@@ -127,6 +186,8 @@ class Topology {
   void build_links();
 
   DragonflyConfig cfg_;
+  ConstDivisor per_group_;  ///< by routers_per_group()
+  ConstDivisor per_row_;    ///< by row_size
   int blue_copies_ = 0;
   int green_base_ = 0;  ///< LinkId offsets for each class
   int black_base_ = 0;

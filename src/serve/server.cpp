@@ -432,6 +432,7 @@ void Server::shard_main(Shard& shard) {
     const std::size_t owner = key == 0 ? shard.index : shard_of(key, nshards);
     if (owner == shard.index) {
       stat_local_.fetch_add(1);
+      if (opt_.before_handle) opt_.before_handle(shard.index);
       std::string resp = api::encode_response(shard.session.handle(env.request));
       if (deadline_ms != 0 && Clock::now() > deadline_at) {
         // Never ship a result the caller has already given up on: the
@@ -536,6 +537,7 @@ void Server::shard_main(Shard& shard) {
             reply.bytes = deadline_error(msg.deadline_ms,
                                          "while queued for the owner shard");
           } else {
+            if (opt_.before_handle) opt_.before_handle(shard.index);
             reply.bytes = api::handle_encoded(shard.session, msg.bytes);
             if (msg.deadline_ms != 0 && Clock::now() > msg.deadline_at) {
               stat_shed_deadline_.fetch_add(1);

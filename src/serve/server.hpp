@@ -53,6 +53,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -94,6 +95,12 @@ struct ServerOptions {
   /// Graceful-drain budget of stop(); past it, still-pending requests
   /// are answered ShuttingDown and their connections closed.
   std::uint32_t drain_timeout_ms = 10'000;
+
+  /// Test hook, empty in production: runs on a shard thread, with that
+  /// shard's index, just before the shard handles a request (its own or
+  /// a forwarded one). Tests hold a shard on a latch here, or stretch its
+  /// handling, instead of betting on how long real work takes.
+  std::function<void(std::size_t shard)> before_handle;
 };
 
 /// FNV-1a 64-bit fingerprint of a routing key. Stable across runs,

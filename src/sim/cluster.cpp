@@ -237,7 +237,8 @@ RunRecord Cluster::run_app(const apps::AppModel& app, int user_id, double max_wa
     rec.step_counters.push_back(
         counter_model_.aggregate(placement.routers, bg_loads_, step_loads_, step_time));
     rec.step_ldms.push_back(
-        ldms_.sample(bg_loads_, step_loads_, step_time, placement.routers));
+        ldms_.sample_with_job_counters(bg_loads_, step_loads_, step_time,
+                                       rec.step_counters.back()));
     rec.profile.add(step_profile);
   }
 

@@ -41,7 +41,7 @@ TEST_F(RoutingTest, ValiantInterGroupUsesTwoBlueHops) {
     const Path p = chooser_.choose(src, dst, RoutingPolicy::Valiant, {}, rng_);
     ASSERT_TRUE(topo_.path_connects(p, src, dst));
     int blue = 0;
-    for (LinkId id : p.links)
+    for (LinkId id : p)
       if (topo_.link(id).type == LinkType::Blue) ++blue;
     blue_hops_seen = std::max(blue_hops_seen, blue);
     EXPECT_LE(blue, 2);
@@ -75,7 +75,7 @@ TEST_F(RoutingTest, UgalAvoidsCongestedMinimalRoute) {
     const Path p = chooser_.choose(src, dst, RoutingPolicy::Ugal, load, rng_);
     ASSERT_TRUE(topo_.path_connects(p, src, dst));
     bool used_direct = false;
-    for (LinkId id : p.links) {
+    for (LinkId id : p) {
       const LinkInfo& li = topo_.link(id);
       if (li.type == LinkType::Blue && topo_.group_of(li.from) == 0 &&
           topo_.group_of(li.to) == 1)
@@ -90,7 +90,7 @@ TEST_F(RoutingTest, PathCostIncreasesWithLoad) {
   const Path p = topo_.minimal_path(0, topo_.router_at(2, 0, 0), 0);
   std::vector<double> idle(std::size_t(topo_.num_links()), 0.0);
   std::vector<double> busy(std::size_t(topo_.num_links()), 0.0);
-  for (LinkId id : p.links) busy[std::size_t(id)] = topo_.link(id).capacity;
+  for (LinkId id : p) busy[std::size_t(id)] = topo_.link(id).capacity;
   EXPECT_GT(chooser_.path_cost(p, busy, false), chooser_.path_cost(p, idle, false));
 }
 

@@ -14,7 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +81,32 @@ api::Request heavy_grid() {
       q.cell({m, k, analysis::FeatureSet::AppPlacementIoSys});
   return q;
 }
+
+/// A one-shot gate between test and server threads: wait() blocks until
+/// open() has been called once (opening twice is harmless).
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  [[nodiscard]] bool wait_for(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, limit, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 [[nodiscard]] std::size_t open_fd_count() {
   std::size_t n = 0;
@@ -290,7 +319,14 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
 }
 
 TEST_F(ServeChaos, DeadlineExpiryIsAStructuredError) {
-  Server server(server_options(1));
+  // Every handling is stretched by the hook past the 1 ms deadlines
+  // below, so they expire mid-handling however fast the grid runs.
+  const auto stretch = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  ServerOptions sopt = server_options(1);
+  sopt.before_handle = stretch;
+  Server server(std::move(sopt));
   server.start();
   Client client;
   ASSERT_EQ(client.connect(server.port()), std::nullopt);
@@ -316,6 +352,7 @@ TEST_F(ServeChaos, DeadlineExpiryIsAStructuredError) {
   // whose envelope carries none.
   ServerOptions dopt = server_options(1);
   dopt.default_deadline_ms = 1;
+  dopt.before_handle = stretch;
   Server strict(std::move(dopt));
   strict.start();
   Client c2;
@@ -370,46 +407,59 @@ TEST_F(ServeChaos, StalledMidFrameConnectionIsEvicted) {
 }
 
 TEST_F(ServeChaos, DrainTimeoutAnswersPendingRequestsWithShutdownError) {
-  ServerOptions opt = server_options(2);
-  opt.drain_timeout_ms = 400;
-  Server server(std::move(opt));
-  server.start();
-
-  // Place the victim's connection on the shard that does NOT own the
-  // MILC dataset key, so its request must forward to the owner — which
-  // three heavy grids will keep busy past the drain deadline.
+  // The owner shard of the MILC keys is held inside the handler hook on a
+  // gate the test opens only after stop()'s drain deadline has expired,
+  // so the victim's forwarded request is still pending at the deadline
+  // however fast the host handles requests.
   const std::size_t owner = shard_of(key_fingerprint("MILC", 128), 2);
   std::uint32_t owned_run = 0;
   while (shard_of(key_fingerprint("MILC", 128, owned_run), 2) != owner) ++owned_run;
 
-  Client heavies[3];
-  Client victim;
-  const auto connect_heavies = [&] {
-    for (auto& h : heavies) ASSERT_EQ(h.connect(server.port()), std::nullopt);
+  Gate held, release;
+  ServerOptions opt = server_options(2);
+  opt.drain_timeout_ms = 400;
+  opt.before_handle = [&held, &release, owner,
+                       first = std::make_shared<std::atomic<bool>>(true)](std::size_t shard) {
+    if (shard != owner || !first->exchange(false)) return;
+    held.open();
+    release.wait();
   };
-  // Round-robin dealing: connection i lands on shard i % 2. The victim
-  // must land on shard 1 - owner.
+  Server server(std::move(opt));
+  // Whatever fails below, the owner shard must be let go before the
+  // server is torn down.
+  struct Releaser {
+    explicit Releaser(Gate& g) : gate(g) {}
+    Releaser(const Releaser&) = delete;
+    Releaser& operator=(const Releaser&) = delete;
+    ~Releaser() { gate.open(); }
+    Gate& gate;
+  } releaser{release};
+  server.start();
+
+  // Round-robin dealing: connection i lands on shard i % 2. The holder's
+  // connection lands on the owner, the victim's on the other shard, so
+  // the victim's request must forward to the owner.
+  Client holder;
+  Client victim;
   if (owner == 0) {
-    connect_heavies();  // connections 0..2
-    ASSERT_EQ(victim.connect(server.port()), std::nullopt);  // conn 3 → shard 1
+    ASSERT_EQ(holder.connect(server.port()), std::nullopt);  // conn 0 → shard 0
+    ASSERT_EQ(victim.connect(server.port()), std::nullopt);  // conn 1 → shard 1
   } else {
     ASSERT_EQ(victim.connect(server.port()), std::nullopt);  // conn 0 → shard 0
-    connect_heavies();
+    ASSERT_EQ(holder.connect(server.port()), std::nullopt);  // conn 1 → shard 1
   }
 
-  std::vector<std::thread> heavy_threads;
-  for (auto& h : heavies) {
-    heavy_threads.emplace_back([&h] {
-      try {
-        // May be answered in full, answered ShuttingDown, or cut by the
-        // phase-2 close — all acceptable ends for the heavy senders.
-        (void)h.call_raw(heavy_grid());
-      } catch (const TransportError&) {
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  // May be answered in full or cut by the phase-2 close — both acceptable
+  // ends for the holder.
+  std::thread holder_thread([&holder, owned_run] {
+    try {
+      (void)holder.call_raw(api::RunLookupRequest{}.app("MILC").nodes(128).run(owned_run));
+    } catch (const TransportError&) {
+    }
+  });
+  ASSERT_TRUE(held.wait_for(std::chrono::seconds(60))) << "owner shard never handled";
 
+  const std::uint64_t forwarded_before = server.stats().forwarded;
   api::Response victim_resp;
   bool victim_threw = false;
   std::thread victim_thread([&] {
@@ -420,11 +470,22 @@ TEST_F(ServeChaos, DrainTimeoutAnswersPendingRequestsWithShutdownError) {
       victim_threw = true;
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // The victim's request sits in the held owner's mailbox once the
+  // origin shard has counted it forwarded.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stats().forwarded == forwarded_before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "victim's request never forwarded";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
-  server.stop();  // the drain deadline expires while the owner is busy
-  for (auto& t : heavy_threads) t.join();
+  // The drain deadline expires while the owner is held; the victim's
+  // shard then answers it ShuttingDown, and only after that answer has
+  // arrived is the owner released so stop() can join it.
+  std::thread stopper([&server] { server.stop(); });
   victim_thread.join();
+  release.open();
+  stopper.join();
+  holder_thread.join();
 
   ASSERT_FALSE(victim_threw);
   const auto* err = std::get_if<api::ErrorResponse>(&victim_resp);

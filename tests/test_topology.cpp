@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -177,7 +178,7 @@ TEST_P(PathProperties, ValiantPathsConnectAndVisitViaGroup) {
     ASSERT_TRUE(topo.path_connects(p, src, dst));
     EXPECT_LE(p.hops(), 10u);
     bool visits_via = false;
-    for (LinkId id : p.links)
+    for (LinkId id : p)
       if (topo.group_of(topo.link(id).to) == via) visits_via = true;
     EXPECT_TRUE(visits_via);
   }
@@ -192,13 +193,94 @@ TEST_P(PathProperties, PathLatencyPositiveForDistinctRouters) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PathProperties, ::testing::Values(2, 3, 4, 6, 8));
 
+// Every route the policies can build, over every router pair, blue copy,
+// intra-group order and intermediate group, fits Path's inline capacity.
+TEST(PathCapacity, EveryMinimalAndValiantRouteFits) {
+  const IntraOrder orders[] = {IntraOrder::RowFirst, IntraOrder::ColFirst};
+  for (int groups = 2; groups <= 6; ++groups) {
+    const Topology topo(DragonflyConfig::small(groups));
+    const int R = topo.config().num_routers();
+    const int K = topo.blue_copies();
+    std::size_t longest_minimal = 0, longest_valiant = 0;
+    for (RouterId src = 0; src < R; ++src)
+      for (RouterId dst = 0; dst < R; ++dst) {
+        const GroupId ga = topo.group_of(src), gb = topo.group_of(dst);
+        for (int k = 0; k < K; ++k)
+          for (IntraOrder o1 : orders)
+            for (IntraOrder o2 : orders) {
+              const Path p = topo.minimal_path(src, dst, k, o1, o2);
+              ASSERT_TRUE(topo.path_connects(p, src, dst));
+              longest_minimal = std::max(longest_minimal, p.hops());
+            }
+        for (GroupId via = 0; via < groups; ++via) {
+          if (via == ga || via == gb) continue;
+          for (int k1 = 0; k1 < K; ++k1)
+            for (int k2 = 0; k2 < K; ++k2)
+              for (IntraOrder o : orders) {
+                const Path p = topo.valiant_path(src, dst, via, k1, k2, o);
+                ASSERT_TRUE(topo.path_connects(p, src, dst));
+                longest_valiant = std::max(longest_valiant, p.hops());
+              }
+        }
+      }
+    EXPECT_LE(longest_minimal, 5u) << "groups=" << groups;
+    EXPECT_LE(longest_valiant, kMaxPathHops) << "groups=" << groups;
+    if (groups >= 3) {
+      EXPECT_EQ(longest_valiant, kMaxPathHops) << "groups=" << groups;
+    }
+  }
+}
+
+TEST(ConstDivisor, MatchesHardwareDivision) {
+  Rng rng(7);
+  for (int d = 2; d <= 300; ++d) {
+    const ConstDivisor div(d);
+    for (int n = 0; n < 5000; ++n) {
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.mod(n), n % d) << n << " % " << d;
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int n = int(rng.uniform_index(std::uint64_t{1} << 31));
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.mod(n), n % d) << n << " % " << d;
+    }
+    const int top = 0x7fffffff;
+    EXPECT_EQ(div.div(top), top / d);
+    EXPECT_EQ(div.mod(top), top % d);
+  }
+  for (int bad : {1, 0, -3}) EXPECT_THROW(ConstDivisor{bad}, ContractError) << bad;
+}
+
+TEST(Topology, ClassCapacityAndLatencyMatchLinkRecords) {
+  for (const DragonflyConfig& cfg : {DragonflyConfig::cori(), DragonflyConfig::small(2),
+                                     DragonflyConfig::small(5)}) {
+    const Topology topo(cfg);
+    for (LinkId id = 0; id < topo.num_links(); ++id) {
+      ASSERT_EQ(topo.capacity(id), topo.link(id).capacity) << "link " << id;
+      ASSERT_EQ(topo.latency(id), topo.link(id).latency) << "link " << id;
+    }
+  }
+}
+
+TEST(PathCapacity, NinthLinkIsAContractError) {
+  Path p;
+  for (std::size_t i = 0; i < kMaxPathHops; ++i) p.push_back(LinkId(i));
+  EXPECT_EQ(p.hops(), kMaxPathHops);
+  EXPECT_THROW(p.push_back(LinkId(kMaxPathHops)), ContractError);
+  EXPECT_EQ(p.hops(), kMaxPathHops);
+  for (std::size_t i = 0; i < kMaxPathHops; ++i) EXPECT_EQ(p[i], LinkId(i));
+}
+
 TEST(Topology, PathConnectsRejectsBrokenPaths) {
   const Topology topo(DragonflyConfig::small(4));
-  Path p = topo.minimal_path(0, 30, 0);
-  ASSERT_FALSE(p.links.empty());
-  std::swap(p.links.front(), p.links.back());
-  if (p.links.size() > 1) {
-    EXPECT_FALSE(topo.path_connects(p, 0, 30));
+  const Path p = topo.minimal_path(0, 30, 0);
+  ASSERT_FALSE(p.empty());
+  Path swapped;  // first and last links exchanged
+  swapped.push_back(p[p.hops() - 1]);
+  for (std::size_t i = 1; i + 1 < p.hops(); ++i) swapped.push_back(p[i]);
+  if (p.hops() > 1) {
+    swapped.push_back(p[0]);
+    EXPECT_FALSE(topo.path_connects(swapped, 0, 30));
   }
   EXPECT_FALSE(topo.path_connects(Path{}, 0, 30));
 }
