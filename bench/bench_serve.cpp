@@ -340,7 +340,7 @@ int run(const Options& opt) {
   server.stop();
   const auto stats = server.stats();
   std::cout << "server: " << stats.requests << " requests, " << stats.local
-            << " local, " << stats.forwarded << " cross-shard\n";
+            << " answered, " << stats.shed_overload << " shed\n";
 
   if (!opt.json_path.empty()) write_json(opt.json_path, opt, phases);
   return 0;

@@ -468,7 +468,7 @@ const AttnPredictBench& attn_predict_bench() {
 
 void BM_AttentionPredictOne(benchmark::State& state) {
   // The serve ForecastRequest inner call: one window through the
-  // pre-packed forward pass with a resident scratch arena.
+  // pre-packed forward pass with a reused scratch arena.
   const AttnPredictBench& b = attn_predict_bench();
   ml::CompiledAttention::Scratch ws;
   std::size_t r = 0;
@@ -496,7 +496,7 @@ void BM_AttentionPredictMany(benchmark::State& state) {
 BENCHMARK(BM_AttentionPredictMany)->Unit(benchmark::kMicrosecond);
 
 api::Session& forecast_bench_session() {
-  // The serve shard shape: one resident campaign + pinned forecaster;
+  // The serve shape: one resident campaign + pinned forecaster;
   // the first request pays campaign generation and model training, so
   // build (and warm) outside the timed loop.
   static api::Session* session = [] {

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -S . -G Ninja
+cmake -B build -S .
 cmake --build build -j
 
 # Fail-fast lint stage: the tree must be dfv-lint clean (zero violations,
@@ -88,14 +88,14 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # forecast grid nests cell/fold tasks over the shared window cache;
   # both are race-checked, including the 1/2/8-thread identity sweeps.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_attention
-  # Compiled inference fans predict_many chunks across the pool and flips
-  # the route toggle concurrently with readers; race-checked with the
-  # 1/2/8-thread bit-identity sweeps.
+  # Compiled inference fans predict_many chunks across the pool;
+  # race-checked with the 1/2/8-thread bit-identity sweeps.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_compiled
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_forecast
   # The serve stack is the one place shard threads, the acceptor, and
-  # client threads share state (mailboxes, wake pipes, shutdown flags);
-  # the session/wire layer underneath is race-checked with it.
+  # client threads share state (the one Session every shard calls, the
+  # new-connection hand-off, wake pipes, shutdown flags); test_api races
+  # eight threads on one Session's build-once caches.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_api
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
   # Chaos stage: the retrying client against a fault-injecting proxy plus

@@ -148,8 +148,8 @@ struct TopologyRequest {
 
 /// Live serving counters (connections, shed/evicted totals). Answered by
 /// the server itself from its atomics — a bare Session knows nothing of
-/// connections and answers all-zero. Keyless, so it is never forwarded
-/// and works even when every shard is saturated.
+/// connections and answers all-zero. It bypasses the admission gate, so
+/// it works even when every shard is saturated.
 struct StatsRequest {};
 
 /// Packet-level engines on synthetic traffic (stateless).
@@ -283,6 +283,8 @@ struct StatsResponse {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;
   std::uint64_t local = 0;
+  /// Always 0: shards no longer hand requests to each other. Kept so the
+  /// v2 wire layout holds until a StatsRequest v3 drops it.
   std::uint64_t forwarded = 0;
   std::uint64_t shed_overload = 0;     ///< requests refused by the admission gate
   std::uint64_t shed_deadline = 0;     ///< requests answered DeadlineExceeded

@@ -1,6 +1,9 @@
 #include "api/session.hpp"
 
+#include <atomic>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "api/wire.hpp"
 #include "common/log.hpp"
@@ -70,34 +73,88 @@ std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
 // Session.
 // ---------------------------------------------------------------------------
 
-/// A trained attention model pinned in the session, plus the training
-/// metadata the response reports. Compiling at build time moves the
-/// operand packing out of the per-request path; the scratch arena makes
-/// a steady-state forecast allocation-free. Requests on one session are
-/// serialized (each serve shard owns its session), so the mutable
-/// scratch is only ever touched by one request at a time.
+namespace {
+
+/// Key -> artifact map that any thread may query. Each artifact is built
+/// once, outside the map lock: concurrent callers of one key wait on that
+/// key's build and nothing else. A build that throws leaves no entry
+/// behind, so the next call builds afresh (a rejected request never pins
+/// memory); a built entry is never erased, so the returned reference stays
+/// valid for the cache's life.
+template <class T>
+class BuildOnce {
+ public:
+  template <class Build>
+  const T& get(const std::string& key, Build&& build) {
+    while (true) {
+      std::shared_ptr<Entry> e;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        std::shared_ptr<Entry>& slot = entries_[key];
+        if (!slot) slot = std::make_shared<Entry>();
+        e = slot;
+      }
+      if (const T* built = e->built.load(std::memory_order_acquire)) return *built;
+      std::lock_guard<std::mutex> build_lock(e->build_mu);
+      if (e->failed) continue;  // its build threw and it left the map: start over
+      if (!e->value) {
+        try {
+          e->value = std::make_unique<const T>(build());
+        } catch (...) {
+          e->failed = true;
+          std::lock_guard<std::mutex> lock(mu_);
+          entries_.erase(key);  // still `e`: only a failed build removes an entry
+          throw;
+        }
+        e->built.store(e->value.get(), std::memory_order_release);
+      }
+      return *e->value;
+    }
+  }
+
+ private:
+  struct Entry {
+    std::mutex build_mu;
+    std::unique_ptr<const T> value;        ///< guarded by build_mu
+    bool failed = false;                   ///< guarded by build_mu
+    std::atomic<const T*> built{nullptr};  ///< value, once published
+  };
+
+  std::mutex mu_;
+  std::map<std::string, std::shared_ptr<Entry>> entries_;
+};
+
+}  // namespace
+
+/// A trained attention model pinned in the session, compiled at build
+/// time so the operand packing stays out of the per-request path, plus
+/// the training metadata the response reports. Immutable: the forward
+/// arena a prediction needs is per thread (see on(ForecastRequest)).
 struct Session::ResidentForecaster {
-  ml::AttentionForecaster model;
   ml::CompiledAttention compiled;
   std::uint32_t windows = 0;
-  mutable ml::CompiledAttention::Scratch scratch;
+};
 
-  ResidentForecaster(ml::AttentionForecaster m, std::uint32_t w)
-      : model(std::move(m)), compiled(model.compile()), windows(w) {}
+struct Session::Caches {
+  std::mutex campaign_mu;
+  BuildOnce<analysis::StepFeatureCache> features;
+  BuildOnce<ResidentForecaster> forecasters;
+  BuildOnce<analysis::DeviationResult> deviations;
+  BuildOnce<analysis::ForecastEval> forecast_evals;
 };
 
 Session::~Session() = default;
-Session::Session(Session&&) noexcept = default;
-Session& Session::operator=(Session&&) noexcept = default;
 
 Session::Session(SessionOptions opt) : Session(std::move(opt), nullptr) {}
 
 Session::Session(SessionOptions opt, std::shared_ptr<const ResidentCampaign> campaign)
-    : opt_(std::move(opt)), campaign_(std::move(campaign)) {
+    : opt_(std::move(opt)), campaign_(std::move(campaign)),
+      caches_(std::make_unique<Caches>()) {
   opt_.config.validate();
 }
 
 const ResidentCampaign& Session::campaign() {
+  std::lock_guard<std::mutex> lock(caches_->campaign_mu);
   if (!campaign_) campaign_ = ResidentCampaign::load(opt_);
   return *campaign_;
 }
@@ -127,12 +184,9 @@ const sim::Dataset& Session::dataset(const std::string& app, int nodes) {
 const analysis::StepFeatureCache& Session::feature_cache(const std::string& app,
                                                          int nodes) {
   DFV_CHECK_MSG(nodes > 0, "node count must be positive");
-  const std::string key = app + "/" + std::to_string(nodes);
-  auto it = feature_caches_.find(key);
-  if (it == feature_caches_.end())
-    it = feature_caches_.emplace(key, analysis::StepFeatureCache(dataset(app, nodes)))
-             .first;
-  return it->second;
+  return caches_->features.get(app + "/" + std::to_string(nodes), [&] {
+    return analysis::StepFeatureCache(dataset(app, nodes));
+  });
 }
 
 const Session::ResidentForecaster& Session::forecaster(
@@ -141,8 +195,7 @@ const Session::ResidentForecaster& Session::forecaster(
   const std::string key = app + "/" + std::to_string(nodes) + "/" +
                           std::to_string(wcfg.m) + "/" + std::to_string(wcfg.k) + "/" +
                           analysis::to_string(wcfg.features);
-  auto it = forecasters_.find(key);
-  if (it == forecasters_.end()) {
+  return caches_->forecasters.get(key, [&] {
     const sim::Dataset& ds = dataset(app, nodes);
     const analysis::StepFeatureCache& cache = feature_cache(app, nodes);
     const analysis::WindowIndex index =
@@ -153,12 +206,8 @@ const Session::ResidentForecaster& Session::forecaster(
     ml::AttentionForecaster model(wcfg.m, analysis::feature_count(wcfg.features),
                                   fcfg.attention);
     model.fit(views.all(), index.y);
-    it = forecasters_
-             .emplace(key, std::make_unique<ResidentForecaster>(
-                               std::move(model), std::uint32_t(index.size())))
-             .first;
-  }
-  return *it->second;
+    return ResidentForecaster{model.compile(), std::uint32_t(index.size())};
+  });
 }
 
 // dfv-lint: allow(contract): the request carries no inputs to validate
@@ -224,13 +273,9 @@ Response Session::on(const NeighborhoodRequest& q) {
 
 Response Session::on(const DeviationRequest& q) {
   DFV_CHECK_MSG(q.node_count > 0, "node count must be positive");
-  const std::string key = q.app_name + "/" + std::to_string(q.node_count);
-  auto it = deviation_cache_.find(key);
-  if (it == deviation_cache_.end())
-    it = deviation_cache_
-             .emplace(key, analysis::analyze_deviation(dataset(q.app_name, q.node_count)))
-             .first;
-  return DeviationResponse{it->second};
+  return DeviationResponse{caches_->deviations.get(
+      q.app_name + "/" + std::to_string(q.node_count),
+      [&] { return analysis::analyze_deviation(dataset(q.app_name, q.node_count)); })};
 }
 
 Response Session::on(const ForecastRequest& q) {
@@ -257,12 +302,11 @@ Response Session::on(const ForecastRequest& q) {
       window[std::size_t(i) * std::size_t(width) + std::size_t(f)] = row[f];
   }
 
+  // One forward arena per thread, shared by every resident model: it is
+  // only ever grown, so steady-state forecasts do not allocate.
+  thread_local ml::CompiledAttention::Scratch scratch;
   ForecastResponse resp;
-  // Compiled and reference paths are bit-identical (pinned by
-  // test_compiled and the serve A/B goldens); the compiled one skips the
-  // per-call operand packing and reuses the resident scratch arena.
-  resp.predicted = ml::compiled_enabled() ? rf.compiled.predict_one(window, rf.scratch)
-                                          : rf.model.predict_one(window);
+  resp.predicted = rf.compiled.predict_one(window, scratch);
   // Persistence baseline, summed in the same (reverse) order as the
   // window index builds it so the two paths agree bitwise.
   const sim::RunRecord& run = ds.runs[q.run_index];
@@ -279,13 +323,9 @@ Response Session::on(const ForecastEvalRequest& q) {
   const std::string key = q.app_name + "/" + std::to_string(q.node_count) + "/" +
                           std::to_string(q.window.m) + "/" + std::to_string(q.window.k) +
                           "/" + analysis::to_string(q.window.features);
-  auto it = forecast_eval_cache_.find(key);
-  if (it == forecast_eval_cache_.end())
-    it = forecast_eval_cache_
-             .emplace(key, analysis::evaluate_forecast(dataset(q.app_name, q.node_count),
-                                                       q.window, {}))
-             .first;
-  return ForecastEvalResponse{it->second};
+  return ForecastEvalResponse{caches_->forecast_evals.get(key, [&] {
+    return analysis::evaluate_forecast(dataset(q.app_name, q.node_count), q.window, {});
+  })};
 }
 
 Response Session::on(const ForecastGridRequest& q) {

@@ -4,21 +4,24 @@
 // requests need: deviation GBR/RFE results, forecast evaluations, and
 // the attention forecasters behind the point-forecast hot path, all
 // memoized after first use. The CLI builds one Session per invocation;
-// `dfv serve` builds one Session per shard, all sharing one immutable
-// ResidentCampaign, so N shards hold one copy of the data and N
-// independent (shard-owned, unsynchronized) model caches.
+// `dfv serve` builds one Session that every shard thread calls, so N
+// shards hold one copy of the data and one copy of every fitted model.
 //
-// Determinism: handling a request mutates only the session's own caches,
-// and every cached artifact is produced by the deterministic analysis /
-// ml layers — so any two sessions over the same options answer any
-// request sequence bit-identically. This is the property that lets
-// test_serve demand byte-identical wire payloads from 1-shard and
-// 8-shard servers.
+// Thread safety: handle() may be called from any number of threads at
+// once. Each cached artifact is built exactly once, outside the cache's
+// map lock (concurrent callers of one key wait for that build); a build
+// that throws leaves no entry behind, and built entries are never
+// erased, so a reference into a cache stays valid for the Session's
+// life.
+//
+// Determinism: every cached artifact is produced by the deterministic
+// analysis / ml layers, so any two sessions over the same options answer
+// any request sequence bit-identically, whichever thread built what.
+// This is the property that lets test_serve demand byte-identical wire
+// payloads from 1-shard and 8-shard servers.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -40,7 +43,7 @@ struct SessionOptions {
 };
 
 /// One campaign loaded into memory, repaired per policy, then immutable.
-/// Shards of a server share a single instance read-only.
+/// Sessions over the same options may share a single instance read-only.
 class ResidentCampaign {
  public:
   /// Generate (or load from `opt.cache_dir`) and repair the campaign.
@@ -71,26 +74,29 @@ class Session {
   /// that needs one — stateless requests never pay for it).
   explicit Session(SessionOptions opt);
 
-  /// A session sharing an already-loaded campaign (the server shard
-  /// path). `campaign` may be null, in which case it loads lazily.
+  /// A session sharing an already-loaded campaign (the server path).
+  /// `campaign` may be null, in which case it loads lazily.
   Session(SessionOptions opt, std::shared_ptr<const ResidentCampaign> campaign);
 
-  // Out-of-line: the cache values are incomplete types here.
+  // Out-of-line: the caches are an incomplete type here.
   ~Session();
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
   [[nodiscard]] const SessionOptions& options() const noexcept { return opt_; }
 
-  /// Answer any request. Never throws: a ContractError surfaces as
-  /// ErrorResponse{Contract}, anything else as ErrorResponse{Internal}.
+  /// Answer any request; safe to call concurrently. Never throws: a
+  /// ContractError surfaces as ErrorResponse{Contract}, anything else as
+  /// ErrorResponse{Internal}.
   [[nodiscard]] Response handle(const Request& req);
 
-  /// The resident campaign, loading it on first use.
+  /// The resident campaign, loading it on first use (once, whichever
+  /// thread asks first).
   [[nodiscard]] const ResidentCampaign& campaign();
 
  private:
   struct ResidentForecaster;
+  struct Caches;
 
   [[nodiscard]] Response dispatch(const Request& req);
   [[nodiscard]] Response on(const CampaignSummaryRequest& q);
@@ -116,14 +122,9 @@ class Session {
                                                      const analysis::WindowConfig& wcfg);
 
   SessionOptions opt_;
-  std::shared_ptr<const ResidentCampaign> campaign_;
-
-  // Model/result caches, keyed by deterministic strings. Session-owned
-  // and unsynchronized: in the server each shard has its own.
-  std::map<std::string, analysis::StepFeatureCache> feature_caches_;
-  std::map<std::string, std::unique_ptr<ResidentForecaster>> forecasters_;
-  std::map<std::string, analysis::DeviationResult> deviation_cache_;
-  std::map<std::string, analysis::ForecastEval> forecast_eval_cache_;
+  std::shared_ptr<const ResidentCampaign> campaign_;  ///< set once, under Caches::campaign_mu
+  /// Build-once model/result caches keyed by deterministic strings.
+  std::unique_ptr<Caches> caches_;
 };
 
 /// Server-side request path: decode `bytes`, dispatch on `session`,

@@ -56,8 +56,13 @@ class AttentionForecaster {
 
   [[nodiscard]] double predict_one(std::span<const double> window) const;
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const;
-  /// Batched prediction over strided window views.
+  /// Batched prediction over strided window views, through the compiled
+  /// snapshot (ml/compiled.hpp); bit-identical to predict_reference.
   [[nodiscard]] std::vector<double> predict(const RowBatch& x) const;
+  /// The reference forward: packs the operands per call and runs the
+  /// training forward_slab. Kept as the oracle the compiled path is
+  /// tested against.
+  [[nodiscard]] std::vector<double> predict_reference(const RowBatch& x) const;
 
   /// Permutation importance per feature dimension (shuffling a feature
   /// across samples at all m time positions simultaneously) measured as
@@ -75,9 +80,8 @@ class AttentionForecaster {
 
   /// Snapshot the fitted model into the pre-packed inference layout
   /// (see ml/compiled.hpp); predictions are bit-identical to this
-  /// model's predict_* methods. Requires a fitted model. The batch
-  /// predict path takes this route itself while `compiled_enabled()`
-  /// (the default).
+  /// model's predict_* methods. Requires a fitted model. The predict
+  /// paths always take it.
   [[nodiscard]] CompiledAttention compile() const;
 
  private:

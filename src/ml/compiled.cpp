@@ -1,9 +1,6 @@
 #include "ml/compiled.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -13,18 +10,6 @@
 namespace dfv::ml {
 
 namespace {
-
-std::atomic<bool>& compiled_flag() {
-  // First touch reads the environment; later set_compiled_enabled calls
-  // overwrite at runtime (tests and the serve A/B toggle).
-  static std::atomic<bool> flag{[]() noexcept {
-    const char* env = std::getenv("DFV_COMPILED");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE");
-  }()};
-  return flag;
-}
 
 // At -O3, GCC's -fsplit-paths duplicates the join after the child-select
 // ternary, which replaces the cmov with data-dependent branches and makes
@@ -64,14 +49,6 @@ std::uint32_t flatten_subtree(std::span<const RegressionTree::Node> tree,
 }
 
 }  // namespace
-
-bool compiled_enabled() noexcept {
-  return compiled_flag().load(std::memory_order_relaxed);
-}
-
-void set_compiled_enabled(bool on) noexcept {
-  compiled_flag().store(on, std::memory_order_relaxed);
-}
 
 CompiledGbr::CompiledGbr(const GradientBoostedRegressor& model) : f0_(model.f0_) {
   DFV_CHECK(model.params_.learning_rate > 0.0);
@@ -224,15 +201,19 @@ void CompiledAttention::ensure(Scratch& ws, std::size_t slab) const {
   const std::size_t m = std::size_t(m_);
   const std::size_t f = std::size_t(feat_dim_);
   const std::size_t steps = slab * m;
-  if (ws.xs.size() >= steps * f && ws.y_hat.size() >= slab) return;
-  ws.xs.resize(steps * f);
-  ws.pre.resize(steps * d_);
-  ws.embed.resize(steps * d_);
-  ws.scores.resize(steps);
-  ws.alpha.resize(steps);
-  ws.context.resize(slab * d_);
-  ws.hidden.resize(slab * h_);
-  ws.y_hat.resize(slab);
+  // Each buffer on its own: an arena last sized for another model shape
+  // may be long enough in one dimension and short in another.
+  const auto grow = [](std::vector<double>& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+  };
+  grow(ws.xs, steps * f);
+  grow(ws.pre, steps * d_);
+  grow(ws.embed, steps * d_);
+  grow(ws.scores, steps);
+  grow(ws.alpha, steps);
+  grow(ws.context, slab * d_);
+  grow(ws.hidden, slab * h_);
+  grow(ws.y_hat, slab);
 }
 
 /// Forward pass over `rows` standardized windows sitting in ws.xs: the

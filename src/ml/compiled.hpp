@@ -38,15 +38,6 @@ namespace dfv::ml {
 class GradientBoostedRegressor;
 class AttentionForecaster;
 
-/// Process-wide toggle for the compiled inference fast path. Initialized
-/// once from the environment (DFV_COMPILED=0/off/false disables; default
-/// on) so serve deployments can A/B the compiled path without a rebuild;
-/// tests flip it at runtime to compare against the reference path.
-/// Because compiled predictions are bit-identical to the reference, the
-/// toggle can never change a result — only the route that computes it.
-[[nodiscard]] bool compiled_enabled() noexcept;
-void set_compiled_enabled(bool on) noexcept;
-
 /// Inference-only snapshot of a fitted GradientBoostedRegressor. Owns no
 /// training state; cheap to build (one pass over the fitted trees) and
 /// safe to keep after the source model is destroyed.
@@ -106,8 +97,9 @@ class CompiledGbr {
 class CompiledAttention {
  public:
   /// Reusable forward arena (the per-request predict_one allocation the
-  /// serve hot path avoids by keeping one Scratch per resident model).
-  /// Plain buffers; sized on first use, only grown after.
+  /// serve hot path avoids by keeping one Scratch per thread). Plain
+  /// buffers, each grown on demand and never shrunk, so one Scratch can
+  /// serve models of any shape.
   struct Scratch {
     std::vector<double> xs;       ///< S x (m*f) standardized windows
     std::vector<double> pre;      ///< (S*m) x d embed pre-activations

@@ -45,11 +45,17 @@ class GradientBoostedRegressor {
   void fit(const BinnedDataset& data, std::span<const double> y,
            const FeatureMask& mask);
 
+  /// Per-tree reference walk over one raw row: the oracle the compiled
+  /// path (ml/compiled.hpp) is tested against.
   [[nodiscard]] double predict_one(std::span<const double> x) const;
+  /// Every row of `x` through the compiled ensemble; bit-identical to
+  /// predict_one per row.
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const;
-  /// Predict row `r` of the binned view the model was trained on
-  /// (uint8 code traversal; bit-identical to predict_one on the row).
+  /// Predict row `r` of the binned view the model was trained on (the
+  /// reference uint8 code walk; bit-identical to predict_one on the row).
   [[nodiscard]] double predict_binned(const BinnedDataset& data, std::size_t r) const;
+  /// `rows` of `data` through the compiled ensemble; bit-identical to
+  /// predict_binned per row.
   [[nodiscard]] std::vector<double> predict_rows(const BinnedDataset& data,
                                                  std::span<const std::size_t> rows) const;
 
@@ -63,8 +69,7 @@ class GradientBoostedRegressor {
 
   /// Snapshot the fitted ensemble into the flattened inference layout
   /// (see ml/compiled.hpp); predictions are bit-identical to this
-  /// model's predict_* methods. The batch predict paths take this route
-  /// themselves while `compiled_enabled()` (the default).
+  /// model's predict_* methods. The batch predict paths always take it.
   [[nodiscard]] CompiledGbr compile() const;
 
  private:

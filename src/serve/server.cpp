@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 
 #include <fcntl.h>
@@ -30,9 +29,8 @@ constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 /// Flooding cap on a connection's receive buffer: frames are consumed as
-/// they complete, so the buffer only grows while a forwarded reply is
-/// pending — a peer that pipelines past two maximal frames in that
-/// window is shedding load onto us and gets evicted instead.
+/// soon as they complete, so a peer that delivers more than two maximal
+/// frames in one read burst is shedding load onto us and gets evicted.
 constexpr std::size_t kMaxConnBacklogBytes = std::size_t(kMaxFrameBytes) * 2;
 
 void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
@@ -75,13 +73,6 @@ void append_frame(std::string& out, std::string_view payload) {
   return v;
 }
 
-template <class... Fs>
-struct Overloaded : Fs... {
-  using Fs::operator()...;
-};
-template <class... Fs>
-Overloaded(Fs...) -> Overloaded<Fs...>;
-
 }  // namespace
 
 std::uint64_t key_fingerprint(std::string_view app, int nodes) noexcept {
@@ -100,63 +91,28 @@ std::uint64_t key_fingerprint(std::string_view app, int nodes,
   return h;
 }
 
-std::uint64_t request_key(const api::Request& req) noexcept {
-  return std::visit(
-      Overloaded{
-          [](const api::RunLookupRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count, q.run_index);
-          },
-          [](const api::ForecastRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count, q.run_index);
-          },
-          [](const api::NeighborhoodRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count);
-          },
-          [](const api::DeviationRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count);
-          },
-          [](const api::ForecastEvalRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count);
-          },
-          [](const api::ForecastGridRequest& q) {
-            return key_fingerprint(q.app_name, q.node_count);
-          },
-          [](const auto&) { return std::uint64_t(0); },
-      },
-      req);
-}
-
 std::size_t shard_of(std::uint64_t key, std::size_t nshards) {
   DFV_CHECK_MSG(nshards > 0, "serve: shard_of needs at least one shard");
   return std::size_t(key % std::uint64_t(nshards));
 }
 
 // ---------------------------------------------------------------------------
-// Shard: everything one shard thread owns. Only `mu`/`mailbox` and the
+// Shard: everything one shard thread owns. Only `mu`/`new_conns` and the
 // `quiescent` flag are touched by other threads; the rest is private to
 // `thread`.
 // ---------------------------------------------------------------------------
 
 struct Server::Shard {
-  struct Msg {
-    enum class Kind { NewConn, Work, Reply };
-    Kind kind = Kind::NewConn;
-    int fd = -1;                ///< NewConn: the accepted socket
-    std::size_t origin = 0;     ///< Work: shard to send the Reply to
-    std::uint64_t conn_id = 0;  ///< Work/Reply: connection on the origin shard
-    std::string bytes;          ///< Work: request payload; Reply: encoded response
-    std::uint32_t deadline_ms = 0;   ///< Work: effective deadline (0 = none)
-    Clock::time_point deadline_at{};  ///< Work: absolute expiry when deadline_ms > 0
-  };
-
   struct Conn {
     int fd = -1;
     bool hello_done = false;
-    bool awaiting_remote = false;  ///< one request forwarded, reply pending
-    bool peer_closed = false;      ///< read side saw EOF
+    bool peer_closed = false;  ///< read side saw EOF
     bool close_after_flush = false;
     std::string in;   ///< received, not yet framed
     std::string out;  ///< encoded frames, not yet written
+    /// When the latest bytes arrived; a frame's deadline counts from the
+    /// read that completed it.
+    Clock::time_point received{};
     // Stall countdowns ({} = not counting): read_start is set while a
     // frame sits incomplete in `in`, write_start while `out` waits to
     // drain. Both reset whenever the respective buffer empties.
@@ -164,54 +120,26 @@ struct Server::Shard {
     Clock::time_point write_start{};
   };
 
-  Shard(Server* srv, std::size_t idx, api::Session sess)
-      : server(srv), index(idx), session(std::move(sess)) {}
+  explicit Shard(std::size_t idx) : index(idx) {}
 
-  void post(Msg msg) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      mailbox.push_back(std::move(msg));
-    }
-    server->wake(*this);
-  }
-
-  /// Bounded admission for Work messages: refuses (returns false) when
-  /// the mailbox is already `limit` deep, so an overwhelmed owner shard
-  /// backpressures its origins instead of queueing without bound.
-  [[nodiscard]] bool post_work(Msg msg, std::size_t limit) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (mailbox.size() >= limit) return false;
-      mailbox.push_back(std::move(msg));
-    }
-    server->wake(*this);
-    return true;
-  }
-
-  Server* server;
   std::size_t index;
-  api::Session session;
   int wake_rd = -1;
   int wake_wr = -1;
   std::thread thread;
   std::atomic<bool> quiescent{false};
 
   std::mutex mu;
-  std::vector<Msg> mailbox;  // guarded by mu
+  std::vector<int> new_conns;  // guarded by mu: sockets dealt by the acceptor
 
   // Shard-thread-private state.
   std::map<std::uint64_t, Conn> conns;
   std::uint64_t next_conn_id = 1;
-  /// Forwarded requests whose Reply has not come back yet — the
-  /// admission gate's in-flight dimension.
-  std::size_t open_forwards = 0;
 };
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
   DFV_CHECK_MSG(opt_.shards >= 1, "serve: server needs at least one shard");
   DFV_CHECK_MSG(opt_.listen_backlog >= 1, "serve: listen backlog must be positive");
   DFV_CHECK_MSG(opt_.max_inflight >= 1, "serve: max_inflight must be positive");
-  DFV_CHECK_MSG(opt_.max_mailbox >= 1, "serve: max_mailbox must be positive");
   DFV_CHECK_MSG(opt_.drain_timeout_ms > 0, "serve: drain timeout must be positive");
 }
 
@@ -228,7 +156,9 @@ void Server::start() {
 
   // Load the campaign before opening the port: a resident server never
   // answers its first query cold.
-  campaign_ = opt_.campaign ? opt_.campaign : api::ResidentCampaign::load(opt_.session);
+  session_ = std::make_unique<api::Session>(
+      opt_.session,
+      opt_.campaign ? opt_.campaign : api::ResidentCampaign::load(opt_.session));
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   DFV_CHECK_MSG(listen_fd_ >= 0, "serve: socket() failed");
@@ -256,8 +186,7 @@ void Server::start() {
 
   shards_.clear();
   for (int i = 0; i < opt_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(this, std::size_t(i),
-                                         api::Session(opt_.session, campaign_));
+    auto shard = std::make_unique<Shard>(std::size_t(i));
     int fds[2] = {-1, -1};
     DFV_CHECK_MSG(::pipe(fds) == 0, "serve: pipe() failed");
     set_nonblocking(fds[0]);
@@ -267,8 +196,7 @@ void Server::start() {
     shards_.push_back(std::move(shard));
   }
 
-  phase_.store(0);
-  inflight_.store(0);
+  phase_.store(Phase::Serving);
   running_.store(true);
   for (auto& shard : shards_)
     shard->thread = std::thread([this, s = shard.get()] { shard_main(*s); });
@@ -281,35 +209,26 @@ void Server::start() {
 void Server::stop() {
   if (!running_.exchange(false)) return;
 
-  // Phase 1 (drain): stop accepting and stop reading; every request whose
-  // frame was fully received keeps its right to a response.
-  phase_.store(1);
+  // Drain: stop accepting and stop reading; every request whose frame
+  // was fully received keeps its right to a response.
+  phase_.store(Phase::Draining);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& shard : shards_) wake(*shard);
 
-  // Wait (bounded by drain_timeout_ms) until every shard is quiescent and
-  // no cross-shard operation is in flight. Quiescent flags are re-read
-  // after the inflight check: a Work/Reply can only exist while
-  // inflight_ > 0, so two consistent passes mean the system is truly
-  // idle. Requests still pending past the deadline are answered with a
-  // structured ShuttingDown error in the phase-2 cleanup below.
+  // Wait (bounded by drain_timeout_ms) until every shard is quiescent. A
+  // draining shard reads nothing new, so once quiescent it stays so.
+  // Frames still buffered past the deadline are answered ShuttingDown.
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(opt_.drain_timeout_ms);
   while (Clock::now() < deadline) {
-    bool idle = inflight_.load() == 0;
+    bool idle = true;
     for (auto& shard : shards_) idle = idle && shard->quiescent.load();
-    idle = idle && inflight_.load() == 0;
-    if (idle) {
-      bool confirmed = true;
-      for (auto& shard : shards_) confirmed = confirmed && shard->quiescent.load();
-      if (confirmed) break;
-    }
+    if (idle) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  // Phase 2 (exit): close everything and join.
-  phase_.store(2);
+  phase_.store(Phase::Closing);
   for (auto& shard : shards_) wake(*shard);
   for (auto& shard : shards_)
     if (shard->thread.joinable()) shard->thread.join();
@@ -329,7 +248,6 @@ ServerStats Server::stats() const noexcept {
   s.connections = stat_connections_.load();
   s.requests = stat_requests_.load();
   s.local = stat_local_.load();
-  s.forwarded = stat_forwarded_.load();
   s.shed_overload = stat_shed_overload_.load();
   s.shed_deadline = stat_shed_deadline_.load();
   s.evicted_stalled = stat_evicted_.load();
@@ -343,7 +261,6 @@ std::string Server::encoded_stats_response() const {
   s.connections = stat_connections_.load();
   s.requests = stat_requests_.load();
   s.local = stat_local_.load();
-  s.forwarded = stat_forwarded_.load();
   s.shed_overload = stat_shed_overload_.load();
   s.shed_deadline = stat_shed_deadline_.load();
   s.evicted_stalled = stat_evicted_.load();
@@ -358,24 +275,23 @@ void Server::acceptor_main() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or real failure): stop accepting
     }
-    if (phase_.load() != 0) {
+    if (phase_.load() != Phase::Serving) {
       ::close(fd);
       continue;
     }
     stat_connections_.fetch_add(1);
-    const std::size_t idx =
-        std::size_t(next_conn_shard_.fetch_add(1) % std::uint64_t(shards_.size()));
-    Shard::Msg msg;
-    msg.kind = Shard::Msg::Kind::NewConn;
-    msg.fd = fd;
-    shards_[idx]->post(std::move(msg));
+    Shard& shard =
+        *shards_[std::size_t(next_conn_shard_.fetch_add(1) % std::uint64_t(shards_.size()))];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.new_conns.push_back(fd);
+    }
+    wake(shard);
   }
 }
 
 void Server::shard_main(Shard& shard) {
   DFV_CHECK_MSG(shard.wake_rd >= 0, "serve: shard started without a wake pipe");
-
-  const std::size_t nshards = shards_.size();
 
   // Deterministic error payloads (pure functions of their inputs — the
   // bytes never depend on timing, so shed responses are replayable too).
@@ -392,9 +308,9 @@ void Server::shard_main(Shard& shard) {
                                               "ms expired " + when});
   };
 
-  // Handle one framed request arriving on `conn` (already past hello).
-  const auto route_request = [&](std::uint64_t conn_id, Shard::Conn& conn,
-                                 std::string payload) {
+  // Answer one request frame on `conn`; `admit` is the admission gate's
+  // verdict for it.
+  const auto answer = [&](Shard::Conn& conn, std::string_view payload, bool admit) {
     stat_requests_.fetch_add(1);
     api::RequestEnvelope env;
     bool decoded = true;
@@ -405,68 +321,52 @@ void Server::shard_main(Shard& shard) {
     }
     if (!decoded) {
       // Malformed or version-skewed: handle_encoded turns it into a
-      // structured ErrorResponse locally; no routing needed.
-      append_frame(conn.out, api::handle_encoded(shard.session, payload));
+      // structured ErrorResponse.
+      append_frame(conn.out, api::handle_encoded(*session_, payload));
       return;
     }
-    // Keyless observability path, answered before the admission gate so
-    // overload stays visible while it is happening.
+    // Observability path, answered before the admission gate so overload
+    // stays visible while it is happening.
     if (std::holds_alternative<api::StatsRequest>(env.request)) {
       stat_local_.fetch_add(1);
       append_frame(conn.out, encoded_stats_response());
       return;
     }
-    // Admission gate: a shard saturated with unanswered forwards sheds
-    // new work with a structured hint instead of queueing unboundedly.
-    if (shard.open_forwards >= std::size_t(opt_.max_inflight)) {
+    if (!admit) {
       stat_shed_overload_.fetch_add(1);
       append_frame(conn.out, overloaded_error());
       return;
     }
+    stat_local_.fetch_add(1);
     const std::uint32_t deadline_ms =
         env.meta.deadline_ms != 0 ? env.meta.deadline_ms : opt_.default_deadline_ms;
-    const auto deadline_at = deadline_ms != 0
-                                 ? Clock::now() + std::chrono::milliseconds(deadline_ms)
-                                 : Clock::time_point{};
-    const std::uint64_t key = request_key(env.request);
-    const std::size_t owner = key == 0 ? shard.index : shard_of(key, nshards);
-    if (owner == shard.index) {
-      stat_local_.fetch_add(1);
+    const auto expired = [&] {
+      return deadline_ms != 0 &&
+             Clock::now() - conn.received > std::chrono::milliseconds(deadline_ms);
+    };
+    std::string resp;
+    if (expired()) {
+      // Waited out its budget behind other frames: don't burn shard time
+      // on an answer nobody is waiting for.
+      stat_shed_deadline_.fetch_add(1);
+      resp = deadline_error(deadline_ms, "before the request was handled");
+    } else {
       if (opt_.before_handle) opt_.before_handle(shard.index);
-      std::string resp = api::encode_response(shard.session.handle(env.request));
-      if (deadline_ms != 0 && Clock::now() > deadline_at) {
+      resp = api::encode_response(session_->handle(env.request));
+      if (expired()) {
         // Never ship a result the caller has already given up on: the
         // stale bytes are replaced by the structured expiry.
         stat_shed_deadline_.fetch_add(1);
         resp = deadline_error(deadline_ms, "while handling the request");
       }
-      append_frame(conn.out, resp);
-      return;
     }
-    Shard::Msg msg;
-    msg.kind = Shard::Msg::Kind::Work;
-    msg.origin = shard.index;
-    msg.conn_id = conn_id;
-    msg.bytes = std::move(payload);
-    msg.deadline_ms = deadline_ms;
-    msg.deadline_at = deadline_at;
-    inflight_.fetch_add(1);
-    if (!shards_[owner]->post_work(std::move(msg), std::size_t(opt_.max_mailbox))) {
-      // The owner's mailbox is full: shed at the origin, same hint.
-      inflight_.fetch_sub(1);
-      stat_shed_overload_.fetch_add(1);
-      append_frame(conn.out, overloaded_error());
-      return;
-    }
-    stat_forwarded_.fetch_add(1);
-    ++shard.open_forwards;
-    conn.awaiting_remote = true;
+    append_frame(conn.out, resp);
   };
 
-  // Consume complete frames buffered in conn.in. Stops while a forwarded
-  // request is outstanding so responses stay in request order.
-  const auto drain_frames = [&](std::uint64_t conn_id, Shard::Conn& conn) {
-    while (!conn.awaiting_remote && !conn.close_after_flush && conn.in.size() >= 4) {
+  // Consume the complete frames buffered on `conn`, in order. Once the
+  // drain is over (Closing), each is answered ShuttingDown unhandled.
+  const auto serve_frames = [&](Shard::Conn& conn, bool admit) {
+    while (!conn.close_after_flush && conn.in.size() >= 4) {
       const std::uint32_t len = peek_u32(conn.in);
       if (len > kMaxFrameBytes) {
         conn.close_after_flush = true;  // malformed peer; drop it
@@ -499,68 +399,58 @@ void Server::shard_main(Shard& shard) {
         conn.hello_done = true;
         continue;
       }
-      route_request(conn_id, conn, std::move(payload));
+      if (phase_.load() == Phase::Closing) {
+        stat_shutdown_aborted_.fetch_add(1);
+        append_frame(conn.out,
+                     api::encode_response(api::ErrorResponse{
+                         api::ErrorCode::ShuttingDown,
+                         "serve: server shut down before the request was handled"}));
+        continue;
+      }
+      answer(conn, payload, admit);
+    }
+  };
+
+  const auto holds_frame = [](const Shard::Conn& conn) {
+    if (conn.close_after_flush || conn.in.size() < 4) return false;
+    const std::uint32_t len = peek_u32(conn.in);
+    return len > kMaxFrameBytes || conn.in.size() - 4 >= len;
+  };
+
+  // Serve every connection's complete frames. Admission gate: while more
+  // than max_inflight connections hold one, the first in line are shed
+  // until the rest fit, so a burst wider than the gate is refused with a
+  // retry hint instead of queueing behind itself.
+  const auto serve_buffered = [&] {
+    std::size_t waiting = 0;
+    for (const auto& [id, conn] : shard.conns) waiting += holds_frame(conn) ? 1 : 0;
+    for (auto& [id, conn] : shard.conns) {
+      if (!holds_frame(conn)) continue;
+      serve_frames(conn, waiting <= std::size_t(opt_.max_inflight));
+      --waiting;
     }
   };
 
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> fd_conn;  // conn id per pollfd (0 = wake pipe)
+  std::vector<int> fresh;
 
   while (true) {
-    const int phase = phase_.load();
-    if (phase == 2) break;
+    const Phase phase = phase_.load();
+    if (phase == Phase::Closing) break;
 
-    // Swap the mailbox out under the lock, process without it.
-    std::vector<Shard::Msg> msgs;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      msgs.swap(shard.mailbox);
+      fresh.swap(shard.new_conns);
     }
-    for (auto& msg : msgs) {
-      switch (msg.kind) {
-        case Shard::Msg::Kind::NewConn: {
-          set_nonblocking(msg.fd);
-          set_nodelay(msg.fd);
-          Shard::Conn conn;
-          conn.fd = msg.fd;
-          shard.conns.emplace(shard.next_conn_id++, std::move(conn));
-          break;
-        }
-        case Shard::Msg::Kind::Work: {
-          Shard::Msg reply;
-          reply.kind = Shard::Msg::Kind::Reply;
-          reply.conn_id = msg.conn_id;
-          if (msg.deadline_ms != 0 && Clock::now() > msg.deadline_at) {
-            // Expired while queued: don't burn owner-shard time on an
-            // answer nobody is waiting for.
-            stat_shed_deadline_.fetch_add(1);
-            reply.bytes = deadline_error(msg.deadline_ms,
-                                         "while queued for the owner shard");
-          } else {
-            if (opt_.before_handle) opt_.before_handle(shard.index);
-            reply.bytes = api::handle_encoded(shard.session, msg.bytes);
-            if (msg.deadline_ms != 0 && Clock::now() > msg.deadline_at) {
-              stat_shed_deadline_.fetch_add(1);
-              reply.bytes =
-                  deadline_error(msg.deadline_ms, "while handling the request");
-            }
-          }
-          shards_[msg.origin]->post(std::move(reply));
-          break;
-        }
-        case Shard::Msg::Kind::Reply: {
-          if (shard.open_forwards > 0) --shard.open_forwards;
-          const auto it = shard.conns.find(msg.conn_id);
-          if (it != shard.conns.end() && it->second.awaiting_remote) {
-            append_frame(it->second.out, msg.bytes);
-            it->second.awaiting_remote = false;
-            drain_frames(it->first, it->second);  // buffered pipeline, if any
-          }
-          inflight_.fetch_sub(1);
-          break;
-        }
-      }
+    for (const int fd : fresh) {
+      set_nonblocking(fd);
+      set_nodelay(fd);
+      Shard::Conn conn;
+      conn.fd = fd;
+      shard.conns.emplace(shard.next_conn_id++, std::move(conn));
     }
+    fresh.clear();
 
     // Flush pending writes; evict stalled peers; reap finished
     // connections. One `now` per pass keeps the sweep cheap.
@@ -591,27 +481,22 @@ void Server::shard_main(Shard& shard) {
       else if (conn.write_start == Clock::time_point{})
         conn.write_start = now;
       const bool read_stalled =
-          phase == 0 && opt_.read_timeout_ms != 0 && !conn.awaiting_remote &&
+          phase == Phase::Serving && opt_.read_timeout_ms != 0 &&
           conn.read_start != Clock::time_point{} &&
           now - conn.read_start > std::chrono::milliseconds(opt_.read_timeout_ms);
       const bool write_stalled =
-          phase == 0 && opt_.write_timeout_ms != 0 &&
+          phase == Phase::Serving && opt_.write_timeout_ms != 0 &&
           conn.write_start != Clock::time_point{} &&
           now - conn.write_start > std::chrono::milliseconds(opt_.write_timeout_ms);
-      const bool flooded = conn.in.size() > kMaxConnBacklogBytes;
-      if (read_stalled || write_stalled || flooded) {
-        // A peer that cannot complete a frame, cannot drain its
-        // responses, or floods past the backlog cap is wedging shard
-        // resources: cut it. (A pending Reply for this conn is dropped
-        // harmlessly — the Reply handler tolerates a missing conn.)
+      if (read_stalled || write_stalled) {
+        // A peer that cannot complete a frame or cannot drain its
+        // responses is wedging shard resources: cut it.
         stat_evicted_.fetch_add(1);
         ::close(conn.fd);
         it = shard.conns.erase(it);
         continue;
       }
-      const bool done = conn.out.empty() && !conn.awaiting_remote &&
-                        (conn.close_after_flush || conn.peer_closed);
-      if (done) {
+      if (conn.out.empty() && (conn.close_after_flush || conn.peer_closed)) {
         ::close(conn.fd);
         it = shard.conns.erase(it);
       } else {
@@ -619,28 +504,16 @@ void Server::shard_main(Shard& shard) {
       }
     }
 
-    if (phase == 1) {
-      // Frames fully received before the stop still get answers: process
-      // whatever is already buffered even though reads are off.
-      for (auto& [id, conn] : shard.conns) drain_frames(id, conn);
-      // Drain bookkeeping: quiescent once nothing is buffered, pending,
-      // or in flight on this shard. (New mailbox messages wake us and
-      // the loop recomputes, so a stale `true` can only be observed
-      // together with inflight_ > 0, which stop() rechecks.)
+    if (phase == Phase::Draining) {
+      // Frames are served in the pass that reads them and reads are off,
+      // so the shard is quiescent once its output has drained.
       bool idle = true;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        idle = shard.mailbox.empty();
-      }
-      for (const auto& [id, conn] : shard.conns) {
-        (void)id;
-        idle = idle && conn.out.empty() && !conn.awaiting_remote;
-      }
+      for (const auto& [id, conn] : shard.conns) idle = idle && conn.out.empty();
       shard.quiescent.store(idle);
     }
 
-    // Poll: wake pipe always; sockets for writes always, reads only
-    // while serving (phase 0) and not awaiting a forwarded reply.
+    // Poll: wake pipe always; sockets for writes always, reads only while
+    // serving.
     fds.clear();
     fd_conn.clear();
     fds.push_back(pollfd{shard.wake_rd, POLLIN, 0});
@@ -648,7 +521,7 @@ void Server::shard_main(Shard& shard) {
     for (const auto& [id, conn] : shard.conns) {
       short events = 0;
       if (!conn.out.empty()) events = short(events | POLLOUT);
-      if (phase == 0 && !conn.awaiting_remote && !conn.close_after_flush)
+      if (phase == Phase::Serving && !conn.close_after_flush)
         events = short(events | POLLIN);
       if (events == 0) continue;
       fds.push_back(pollfd{conn.fd, events, 0});
@@ -664,18 +537,21 @@ void Server::shard_main(Shard& shard) {
       while (::read(shard.wake_rd, buf, sizeof(buf)) > 0) {
       }
     }
+    if (phase != Phase::Serving) continue;
 
+    const auto arrived = Clock::now();
     for (std::size_t i = 1; i < fds.size(); ++i) {
+      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const auto it = shard.conns.find(fd_conn[i]);
       if (it == shard.conns.end()) continue;
       Shard::Conn& conn = it->second;
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      // Read everything available, then frame it.
+      // Read everything available.
       char buf[16384];
-      while (true) {
+      while (conn.in.size() <= kMaxConnBacklogBytes) {
         const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
         if (r > 0) {
           conn.in.append(buf, std::size_t(r));
+          conn.received = arrived;
           continue;
         }
         if (r == 0) {
@@ -687,24 +563,19 @@ void Server::shard_main(Shard& shard) {
         conn.peer_closed = true;  // hard error: treat as closed
         break;
       }
-      drain_frames(it->first, conn);
+      if (conn.in.size() > kMaxConnBacklogBytes) {
+        stat_evicted_.fetch_add(1);
+        ::close(conn.fd);
+        shard.conns.erase(it);
+      }
     }
+    serve_buffered();
   }
 
-  // Phase 2 cleanup: anything still pending missed the drain window.
-  // Answer it with a structured shutdown error and flush what we can
-  // without blocking — best-effort courtesy, never a hang, and never a
-  // silent drop of a request the peer is still waiting on.
+  // The drain is over. Every frame read has been answered (past the
+  // deadline, ShuttingDown); flush what we can without blocking — a
+  // best-effort courtesy, never a hang — and close.
   for (auto& [id, conn] : shard.conns) {
-    (void)id;
-    if (conn.awaiting_remote) {
-      stat_shutdown_aborted_.fetch_add(1);
-      conn.awaiting_remote = false;
-      append_frame(conn.out,
-                   api::encode_response(api::ErrorResponse{
-                       api::ErrorCode::ShuttingDown,
-                       "serve: server shut down before the response was ready"}));
-    }
     while (!conn.out.empty()) {
       const ssize_t w = ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
       if (w <= 0) break;  // EAGAIN/EPIPE/…: best effort only
@@ -713,6 +584,10 @@ void Server::shard_main(Shard& shard) {
     ::close(conn.fd);
   }
   shard.conns.clear();
+  // Sockets dealt after the last pass were never adopted.
+  std::lock_guard<std::mutex> lock(shard.mu);
+  for (const int fd : shard.new_conns) ::close(fd);
+  shard.new_conns.clear();
 }
 
 }  // namespace dfv::serve

@@ -1,5 +1,6 @@
 // dfv::api session layer: every request type handled, results
-// bit-identical to calling the analysis layer directly, contract
+// bit-identical to calling the analysis layer directly, one Session safe
+// to share between threads (exercised under TSan in tier-1), contract
 // violations surfaced as structured ErrorResponses, and a canonical
 // wire codec (round-trips exactly; version skew and truncation are
 // structured errors, never crashes).
@@ -7,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/deviation.hpp"
@@ -15,24 +18,10 @@
 #include "analysis/neighborhood.hpp"
 #include "api/wire.hpp"
 #include "common/log.hpp"
-#include "ml/compiled.hpp"
+#include "forecast_oracle.hpp"
 
 namespace dfv::api {
 namespace {
-
-/// Pin the compiled-inference toggle for a scope, restoring on exit.
-class CompiledToggleGuard {
- public:
-  explicit CompiledToggleGuard(bool on) : prev_(ml::compiled_enabled()) {
-    ml::set_compiled_enabled(on);
-  }
-  ~CompiledToggleGuard() { ml::set_compiled_enabled(prev_); }
-  CompiledToggleGuard(const CompiledToggleGuard&) = delete;
-  CompiledToggleGuard& operator=(const CompiledToggleGuard&) = delete;
-
- private:
-  bool prev_;
-};
 
 SessionOptions small_options() {
   SessionOptions opt;
@@ -169,29 +158,79 @@ TEST_F(ApiSession, TwoSessionsAnswerByteIdentically) {
     EXPECT_EQ(encode_response(other.handle(req)), encode_response(session_->handle(req)));
 }
 
-TEST_F(ApiSession, CompiledInferenceToggleIsByteInvisible) {
-  // Golden A/B for the compiled fast path (ml/compiled.hpp): a session
-  // answering with the reference predict routes (toggle off) must
-  // produce byte-identical responses to one answering with the compiled
-  // path, across every request type whose handler runs model inference
-  // (point forecast -> CompiledAttention; eval + deviation -> GBR
-  // predict_rows inside RFE/CV).
-  const Request reqs[] = {
-      Request{ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5)},
-      Request{ForecastRequest{}.app("UMT").nodes(128).run(0).center(14).m(5).k(9)},
-      Request{ForecastEvalRequest{}.app("UMT").nodes(128).m(3).k(5)},
+TEST_F(ApiSession, PointForecastsMatchTheReferenceOracle) {
+  // The session answers point forecasts through the compiled model and a
+  // per-thread arena; the oracle trains the same model and predicts
+  // through the reference forward. Eval and deviation ride the batch
+  // predict paths, which test_compiled pins against their references.
+  for (const ForecastRequest& q :
+       {ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5),
+        ForecastRequest{}.app("UMT").nodes(128).run(0).center(4).m(3).k(3)}) {
+    const auto resp = std::get<ForecastResponse>(session_->handle(q));
+    EXPECT_EQ(resp.predicted,
+              oracle::reference_forecast(
+                  session_->campaign().dataset(q.app_name, q.node_count), q));
+  }
+}
+
+TEST_F(ApiSession, EightThreadsShareOneSessionByteIdentically) {
+  // One fresh Session (campaign loaded lazily, by whichever thread asks
+  // first) serves eight threads issuing the same keys in different
+  // orders, so first builds race each other. One key's build always
+  // throws (no window of k=500 steps fits a run); every thread must get
+  // its structured error, and no other key may be disturbed.
+  const std::vector<Request> reqs = {
+      Request{ForecastRequest{}.app("MILC").nodes(128).run(0).center(10).m(3).k(5)},
+      Request{ForecastRequest{}.app("MILC").nodes(128).run(3).center(12).m(3).k(5)},
+      Request{ForecastRequest{}.app("UMT").nodes(128).run(1).center(3).m(3).k(3)},
+      Request{ForecastRequest{}.app("MILC").nodes(128).run(0).center(10).m(3).k(500)},
       Request{DeviationRequest{}.app("MILC").nodes(128)},
+      Request{DeviationRequest{}.app("UMT").nodes(128)},
+      Request{ForecastEvalRequest{}.app("MILC").nodes(128).m(3).k(5)},
+      Request{ForecastEvalRequest{}.app("UMT").nodes(128).m(3).k(5)},
   };
   std::vector<std::string> want;
-  {
-    CompiledToggleGuard off(false);
-    Session reference(small_options());
-    for (const Request& req : reqs)
-      want.push_back(encode_response(reference.handle(req)));
+  for (const Request& req : reqs) want.push_back(encode_response(session_->handle(req)));
+  ASSERT_TRUE(std::holds_alternative<ErrorResponse>(decode_response(want[3])));
+
+  constexpr std::size_t kThreads = 8;
+  Session shared(small_options());
+  std::vector<std::vector<std::string>> got(kThreads, std::vector<std::string>(reqs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Rotated start, and odd threads walk the list backwards.
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const std::size_t step = (i + t) % reqs.size();
+        const std::size_t at = t % 2 == 0 ? step : reqs.size() - 1 - step;
+        got[t][at] = encode_response(shared.handle(reqs[at]));
+      }
+    });
   }
-  CompiledToggleGuard on(true);
-  for (std::size_t i = 0; i < std::size(reqs); ++i)
-    EXPECT_EQ(encode_response(session_->handle(reqs[i])), want[i]) << "request " << i;
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+      EXPECT_EQ(got[t][i], want[i]) << "thread " << t << " request " << i;
+}
+
+TEST_F(ApiSession, AFailedBuildIsRetriedNotCached) {
+  // The first build of this key throws; the next call builds again (and
+  // fails the same way) instead of finding a poisoned entry, and the
+  // dataset's other keys, including the feature cache the failed build
+  // made on the way, keep answering correctly.
+  const auto bad = ForecastEvalRequest{}.app("MILC").nodes(128).m(4).k(500);
+  const Response first = session_->handle(bad);
+  const auto* err = std::get_if<ErrorResponse>(&first);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, ErrorCode::Contract);
+  EXPECT_EQ(encode_response(session_->handle(bad)), encode_response(first));
+
+  const auto bad_point = ForecastRequest{}.app("MILC").nodes(128).run(1).center(14).m(4).k(500);
+  EXPECT_TRUE(std::holds_alternative<ErrorResponse>(session_->handle(bad_point)));
+  const auto good = ForecastRequest{}.app("MILC").nodes(128).run(1).center(14).m(4).k(6);
+  const auto resp = std::get<ForecastResponse>(session_->handle(good));
+  EXPECT_EQ(resp.predicted,
+            oracle::reference_forecast(session_->campaign().dataset("MILC", 128), good));
 }
 
 // ---------------------------------------------------------------------------

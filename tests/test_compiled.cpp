@@ -19,21 +19,6 @@
 namespace dfv::ml {
 namespace {
 
-/// Force the reference path for the enclosed scope regardless of the
-/// DFV_COMPILED environment, then restore the prior setting.
-class CompiledToggleGuard {
- public:
-  explicit CompiledToggleGuard(bool on) : prev_(compiled_enabled()) {
-    set_compiled_enabled(on);
-  }
-  ~CompiledToggleGuard() { set_compiled_enabled(prev_); }
-  CompiledToggleGuard(const CompiledToggleGuard&) = delete;
-  CompiledToggleGuard& operator=(const CompiledToggleGuard&) = delete;
-
- private:
-  bool prev_;
-};
-
 /// Run `fn` under pool widths 1, 2, and 8 (restoring the default after)
 /// and hand it the width for failure messages.
 template <typename Fn>
@@ -123,21 +108,14 @@ TEST_F(CompiledGbrTest, PredictManyHandlesShuffledSubsets) {
     EXPECT_EQ(got[i], gbr_->predict_binned(*binned_, fold[i]));
 }
 
-TEST_F(CompiledGbrTest, ToggledBatchPathsMatchReference) {
-  // The public predict/predict_rows entry points must give the same bits
-  // whichever route the toggle selects.
-  std::vector<double> ref_rows, ref_mat;
-  {
-    CompiledToggleGuard off(false);
-    ref_rows = gbr_->predict_rows(*binned_, rows_);
-    ref_mat = gbr_->predict(x_);
-  }
-  CompiledToggleGuard on(true);
+TEST_F(CompiledGbrTest, BatchPathsMatchPerRowReference) {
+  // The public predict/predict_rows entry points (always compiled) give
+  // the bits of the per-row reference walks.
   const std::vector<double> got_rows = gbr_->predict_rows(*binned_, rows_);
   const std::vector<double> got_mat = gbr_->predict(x_);
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    EXPECT_EQ(got_rows[i], ref_rows[i]);
-    EXPECT_EQ(got_mat[i], ref_mat[i]);
+    EXPECT_EQ(got_rows[i], gbr_->predict_binned(*binned_, rows_[i]));
+    EXPECT_EQ(got_mat[i], gbr_->predict_one(x_.row(i)));
   }
 }
 
@@ -223,10 +201,17 @@ class CompiledAttentionTest : public ::testing::Test {
     params.epochs = 3;
     model_ = std::make_unique<AttentionForecaster>(kM, kF, params);
     model_->fit(x_, y_);
+    ptrs_ = row_pointers(x_);
+  }
+
+  /// The reference forward over every row of x_ (the oracle).
+  [[nodiscard]] std::vector<double> reference() const {
+    return model_->predict_reference(RowBatch{ptrs_, 1, x_.cols(), x_.cols()});
   }
 
   Matrix x_;
   std::vector<double> y_;
+  std::vector<const double*> ptrs_;
   std::unique_ptr<AttentionForecaster> model_;
 };
 
@@ -234,23 +219,47 @@ TEST_F(CompiledAttentionTest, PredictOneBitIdentical) {
   const CompiledAttention compiled = model_->compile();
   EXPECT_EQ(compiled.history(), kM);
   EXPECT_EQ(compiled.feat_dim(), kF);
+  const std::vector<double> want = reference();
   CompiledAttention::Scratch ws;
   for (std::size_t r = 0; r < x_.rows(); ++r) {
-    const double want = model_->predict_one(x_.row(r));
-    EXPECT_EQ(compiled.predict_one(x_.row(r)), want);       // fresh scratch
-    EXPECT_EQ(compiled.predict_one(x_.row(r), ws), want);   // reused scratch
+    EXPECT_EQ(compiled.predict_one(x_.row(r)), want[r]);      // fresh scratch
+    EXPECT_EQ(compiled.predict_one(x_.row(r), ws), want[r]);  // reused scratch
+    EXPECT_EQ(model_->predict_one(x_.row(r)), want[r]);       // public entry point
+  }
+}
+
+TEST(CompiledAttentionEdge, OneScratchServesModelsOfEveryShape) {
+  // A per-thread arena is shared by every resident model, so it must grow
+  // whichever dimension the next model needs: here a short wide window
+  // (m=2, f=9: long xs, short embed buffers) precedes a long narrow one
+  // (m=9, f=2: shorter xs, longer embed buffers).
+  AttentionParams params;
+  params.epochs = 2;
+  const auto fitted = [&](int m, int f) {
+    Rng rng(std::uint64_t(46 + m));
+    Matrix x(60, std::size_t(m) * std::size_t(f));
+    std::vector<double> y(60);
+    for (std::size_t i = 0; i < 60; ++i) {
+      for (std::size_t c = 0; c < x.cols(); ++c) x(i, c) = rng.normal();
+      y[i] = x(i, 0) + 0.1 * rng.normal();
+    }
+    AttentionForecaster model(m, f, params);
+    model.fit(x, y);
+    return std::make_pair(model.compile(), std::move(x));
+  };
+  const auto [wide, wide_x] = fitted(2, 9);
+  const auto [longer, long_x] = fitted(9, 2);
+  CompiledAttention::Scratch shared;
+  for (std::size_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(wide.predict_one(wide_x.row(r), shared), wide.predict_one(wide_x.row(r)));
+    EXPECT_EQ(longer.predict_one(long_x.row(r), shared), longer.predict_one(long_x.row(r)));
   }
 }
 
 TEST_F(CompiledAttentionTest, PredictManyBitIdenticalAcrossThreadCounts) {
   const CompiledAttention compiled = model_->compile();
-  std::vector<double> want;
-  {
-    CompiledToggleGuard off(false);
-    want = model_->predict(x_);
-  }
-  const auto ptrs = row_pointers(x_);
-  const RowBatch rb{ptrs, 1, x_.cols(), x_.cols()};
+  const std::vector<double> want = reference();
+  const RowBatch rb{ptrs_, 1, x_.cols(), x_.cols()};
   for_thread_counts([&](int threads) {
     const std::vector<double> got = compiled.predict_many(rb);
     ASSERT_EQ(got.size(), want.size());
@@ -284,14 +293,10 @@ TEST_F(CompiledAttentionTest, StridedRowBatchMatchesContiguous) {
     EXPECT_EQ(got[r], compiled.predict_one(x_.row(r), ws)) << "strided row " << r;
 }
 
-TEST_F(CompiledAttentionTest, ToggledPredictMatchesReference) {
-  std::vector<double> ref;
-  {
-    CompiledToggleGuard off(false);
-    ref = model_->predict(x_);
-  }
-  CompiledToggleGuard on(true);
+TEST_F(CompiledAttentionTest, PredictMatchesReference) {
+  const std::vector<double> ref = reference();
   const std::vector<double> got = model_->predict(x_);
+  ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(got[i], ref[i]);
 }
 
@@ -306,20 +311,6 @@ TEST(CompiledAttentionEdge, RefusesUnfittedModel) {
   // of producing NaNs at serve time.
   const AttentionForecaster model(3, 2);
   EXPECT_THROW((void)model.compile(), ContractError);
-}
-
-// ---------------------------------------------------------------------------
-// Toggle plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(CompiledToggle, SetAndRestore) {
-  const bool prev = compiled_enabled();
-  set_compiled_enabled(false);
-  EXPECT_FALSE(compiled_enabled());
-  set_compiled_enabled(true);
-  EXPECT_TRUE(compiled_enabled());
-  set_compiled_enabled(prev);
-  EXPECT_EQ(compiled_enabled(), prev);
 }
 
 }  // namespace

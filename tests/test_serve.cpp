@@ -1,7 +1,7 @@
-// dfv serve: deterministic shard routing, handshake versioning,
-// byte-identical responses across shard counts, concurrent clients
-// (exercised under TSan in tier-1), and graceful shutdown that drains
-// in-flight requests without ever emitting a torn frame.
+// dfv serve: the key fingerprint, handshake versioning, byte-identical
+// responses across shard counts, concurrent clients on one shared
+// Session (exercised under TSan in tier-1), and graceful shutdown that
+// drains in-flight requests without ever emitting a torn frame.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 
 #include "api/wire.hpp"
 #include "common/log.hpp"
-#include "ml/compiled.hpp"
+#include "forecast_oracle.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 
@@ -65,21 +65,6 @@ TEST(ServeRouting, KeyFingerprintIsStableAndDiscriminates) {
   EXPECT_NE(a, key_fingerprint("MILC", 256));     // nodes matter
   EXPECT_NE(a, key_fingerprint("UMT", 128));      // app matters
   EXPECT_NE(key_fingerprint("MILC", 128, 0), key_fingerprint("MILC", 128, 1));
-}
-
-TEST(ServeRouting, RequestKeyScopesMatchTheDesign) {
-  // Run-scoped: lookup and point forecast of the same run share an owner.
-  const auto lookup = request_key(api::RunLookupRequest{}.app("MILC").nodes(128).run(4));
-  const auto forecast = request_key(api::ForecastRequest{}.app("MILC").nodes(128).run(4));
-  EXPECT_EQ(lookup, forecast);
-  EXPECT_EQ(lookup, key_fingerprint("MILC", 128, 4));
-  // Dataset-scoped requests share the dataset key.
-  EXPECT_EQ(request_key(api::DeviationRequest{}.app("UMT").nodes(128)),
-            request_key(api::NeighborhoodRequest{}.app("UMT").nodes(128)));
-  // Stateless requests have no owner.
-  EXPECT_EQ(request_key(api::TopologyRequest{}), 0u);
-  EXPECT_EQ(request_key(api::SimulateRequest{}), 0u);
-  EXPECT_EQ(request_key(api::CampaignSummaryRequest{}), 0u);
 }
 
 TEST(ServeRouting, ShardOfIsDeterministicAndInRange) {
@@ -152,13 +137,10 @@ TEST_F(ServeEndToEnd, OneShardAndEightShardsAnswerByteIdentically) {
     const std::string r8 = c8.call_raw(req);
     EXPECT_EQ(r1, r8);  // byte-identical encoded payloads
   }
-  // The 8-shard server actually exercised the cross-shard path.
   c1.close();
   c8.close();
   one.stop();
   eight.stop();
-  EXPECT_GT(eight.stats().forwarded, 0u);
-  EXPECT_EQ(one.stats().forwarded, 0u);
 }
 
 TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
@@ -198,42 +180,41 @@ TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.requests, std::uint64_t(kClients) * kRounds * reqs.size());
-  EXPECT_EQ(stats.local + stats.forwarded, stats.requests);
+  EXPECT_EQ(stats.local, stats.requests);
   server.stop();
 }
 
-TEST_F(ServeEndToEnd, CompiledInferenceTogglePreservesServedBytes) {
-  // Golden A/B for the compiled serve hot path (ml/compiled.hpp): the
-  // bytes a server emits with the compiled path enabled (the default)
-  // must equal the reference-path bytes computed with the toggle off —
-  // point forecasts ride CompiledAttention, deviation rides the GBR
+TEST_F(ServeEndToEnd, ServedForecastsMatchTheReferenceOracle) {
+  // The served bytes equal the in-process Session's, and every served
+  // point forecast equals the reference oracle's, trained and predicted
+  // without the compiled path. Point forecasts ride CompiledAttention on
+  // a per-thread arena shared by both shards; deviation rides the GBR
   // predict_rows route inside RFE/CV.
   std::vector<api::Request> reqs;
   for (std::uint32_t r = 0; r < 4; ++r)
     reqs.push_back(api::ForecastRequest{}.app("MILC").nodes(128).run(r).center(
         int(10 + r)).m(3).k(5));
-  reqs.push_back(api::ForecastRequest{}.app("UMT").nodes(128).run(1).center(12).m(5).k(9));
+  reqs.push_back(api::ForecastRequest{}.app("UMT").nodes(128).run(1).center(4).m(3).k(3));
   reqs.push_back(api::DeviationRequest{}.app("UMT").nodes(128));
 
-  const bool prev = ml::compiled_enabled();
-  std::vector<std::string> want;
-  {
-    ml::set_compiled_enabled(false);
-    api::Session reference(small_options(), shared_campaign());
-    want.reserve(reqs.size());
-    for (const auto& req : reqs) want.push_back(api::encode_response(reference.handle(req)));
-  }
-  ml::set_compiled_enabled(true);
-
+  api::Session reference(small_options(), shared_campaign());
   Server server(server_options(2));
   server.start();
   Client client;
   ASSERT_EQ(client.connect(server.port()), std::nullopt);
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    EXPECT_EQ(client.call_raw(reqs[i]), want[i]) << "request " << i;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const std::string got = client.call_raw(reqs[i]);
+    EXPECT_EQ(got, api::encode_response(reference.handle(reqs[i]))) << "request " << i;
+    if (const auto* q = std::get_if<api::ForecastRequest>(&reqs[i])) {
+      const auto served = std::get<api::ForecastResponse>(api::decode_response(got));
+      EXPECT_EQ(served.predicted,
+                oracle::reference_forecast(
+                    shared_campaign()->dataset(q->app_name, q->node_count), *q))
+          << "request " << i;
+    }
+  }
   client.close();
   server.stop();
-  ml::set_compiled_enabled(prev);
 }
 
 TEST_F(ServeEndToEnd, GracefulShutdownDrainsWithoutTornFrames) {
@@ -283,7 +264,7 @@ TEST_F(ServeEndToEnd, GracefulShutdownDrainsWithoutTornFrames) {
   // Every request the server counted was answered or cleanly dropped at
   // a frame boundary; stats stayed consistent through the drain.
   const auto stats = server.stats();
-  EXPECT_EQ(stats.local + stats.forwarded, stats.requests);
+  EXPECT_EQ(stats.local, stats.requests);
 }
 
 TEST_F(ServeEndToEnd, StopIsIdempotentAndRestartIsNotRequired) {

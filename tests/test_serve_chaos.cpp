@@ -16,13 +16,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -107,6 +111,66 @@ class Gate {
   std::condition_variable cv_;
   bool open_ = false;
 };
+
+/// Opens its gate when it goes out of scope: whatever fails in a test, a
+/// shard held on that gate is let go before the server is torn down.
+struct Releaser {
+  explicit Releaser(Gate& g) : gate(g) {}
+  Releaser(const Releaser&) = delete;
+  Releaser& operator=(const Releaser&) = delete;
+  ~Releaser() { gate.open(); }
+  Gate& gate;
+};
+
+/// A before_handle hook that, on the first request any shard handles,
+/// opens `held` and blocks until `release` opens.
+std::function<void(std::size_t)> hold_first(Gate& held, Gate& release) {
+  return [&held, &release, first = std::make_shared<std::atomic<bool>>(true)](std::size_t) {
+    if (!first->exchange(false)) return;
+    held.open();
+    release.wait();
+  };
+}
+
+/// A raw client socket past the hello handshake, for tests that control
+/// byte by byte what reaches the server and when.
+[[nodiscard]] int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw std::runtime_error("socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  // dfv-lint: allow(blocking-io): a deliberately raw peer the test paces itself
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    throw std::runtime_error("connect() failed");
+  }
+  write_frame(fd, hello_payload(api::kApiVersion));
+  if (!read_frame(fd, 10'000)) throw std::runtime_error("no hello reply");
+  return fd;
+}
+
+/// `payload` framed as the server reads it: [u32 length][bytes].
+[[nodiscard]] std::string framed(const std::string& payload) {
+  std::string out;
+  const auto len = std::uint32_t(payload.size());
+  for (int i = 0; i < 4; ++i) out.push_back(char((len >> (8 * i)) & 0xff));
+  return out + payload;
+}
+
+/// True once the server's TCP stack has acknowledged every byte written
+/// on `fd`, i.e. they sit in the server's receive buffer (false if that
+/// has not happened within a minute).
+[[nodiscard]] bool delivered(int fd) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int unacked = 0;
+  while (::ioctl(fd, SIOCOUTQ, &unacked) == 0 && unacked > 0) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return unacked == 0;
+}
 
 [[nodiscard]] std::size_t open_fd_count() {
   std::size_t n = 0;
@@ -195,7 +259,7 @@ TEST_F(ServeChaos, RetriedWorkloadIsByteIdenticalUnderChaos) {
     proxy.stop();
     server.stop();
     const auto ss = server.stats();
-    EXPECT_EQ(ss.local + ss.forwarded + ss.shed_overload, ss.requests);
+    EXPECT_EQ(ss.local + ss.shed_overload, ss.requests);
   }
   // Zero leaked connections or pipes across the whole scenario.
   EXPECT_EQ(open_fd_count(), fds_before);
@@ -241,15 +305,56 @@ TEST_F(ServeChaos, FaultScheduleReplaysExactly) {
 }
 
 TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
-  ServerOptions opt = server_options(2);
-  opt.max_inflight = 1;  // shed as soon as two forwards overlap
+  // The shard is held inside the handler hook on a first request while
+  // two more connections each deliver a complete frame; let go, it finds
+  // two connections waiting against a gate of one and sheds the first in
+  // line. The gate engages every run, however fast the host is.
+  Gate held, release;
+  ServerOptions opt = server_options(1);
+  opt.max_inflight = 1;
   opt.retry_after_ms = 7;
+  opt.before_handle = hold_first(held, release);
   Server server(std::move(opt));
+  const Releaser releaser{release};
   server.start();
 
+  const api::Request lookup = api::RunLookupRequest{}.app("MILC").nodes(128).run(1);
+  Client holder;
+  ASSERT_EQ(holder.connect(server.port()), std::nullopt);
+  const int first = raw_connect(server.port());
+  const int second = raw_connect(server.port());
+  api::Response held_resp;
+  std::thread holder_thread([&] { held_resp = holder.call(lookup); });
+  const bool was_held = held.wait_for(std::chrono::seconds(60));
+  bool sent = false;
+  if (was_held) {
+    for (const int fd : {first, second}) write_frame(fd, api::encode_request(lookup));
+    sent = delivered(first) && delivered(second);
+  }
+  release.open();
+  holder_thread.join();
+  ASSERT_TRUE(was_held) << "the shard never handled the holder's request";
+  ASSERT_TRUE(sent) << "the server never acknowledged the waiting frames";
+  EXPECT_TRUE(std::holds_alternative<api::RunLookupResponse>(held_resp));
+
+  const auto shed_frame = read_frame(first, 10'000);
+  const auto admitted_frame = read_frame(second, 10'000);
+  ::close(first);
+  ::close(second);
+  ASSERT_TRUE(shed_frame.has_value() && admitted_frame.has_value());
+  const api::Response shed = api::decode_response(*shed_frame);
+  const auto* err = std::get_if<api::ErrorResponse>(&shed);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, api::ErrorCode::Overloaded);
+  EXPECT_EQ(err->retry_after_ms, 7u);
+  EXPECT_TRUE(std::holds_alternative<api::RunLookupResponse>(
+      api::decode_response(*admitted_frame)));
+
+  // Concurrent clients through the same gate: it sheds whenever two of
+  // their frames arrive together, and every shed is counted exactly once.
   constexpr int kClients = 6;
-  constexpr int kRounds = 60;
-  std::atomic<std::uint64_t> observed{0};
+  constexpr int kRounds = 30;
+  std::atomic<std::uint64_t> observed{1};
   std::atomic<int> bad_hint{0};
   std::atomic<int> unexpected{0};
   std::vector<std::thread> threads;
@@ -262,8 +367,6 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
         return;
       }
       for (int r = 0; r < kRounds; ++r) {
-        // ~half of these forward across the two shards; every fifth is a
-        // slower dataset-scoped request that widens the overlap window.
         api::Request req =
             r % 5 == 4
                 ? api::Request{api::NeighborhoodRequest{}.app(c % 2 ? "UMT" : "MILC").nodes(128)}
@@ -271,10 +374,10 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
                       api::RunLookupRequest{}.app(r % 2 ? "UMT" : "MILC").nodes(128).run(
                           std::uint32_t(r) % 4)};
         const auto resp = client.call(req);
-        if (const auto* err = std::get_if<api::ErrorResponse>(&resp)) {
-          if (err->code == api::ErrorCode::Overloaded) {
+        if (const auto* e = std::get_if<api::ErrorResponse>(&resp)) {
+          if (e->code == api::ErrorCode::Overloaded) {
             observed.fetch_add(1);
-            if (err->retry_after_ms != 7) bad_hint.fetch_add(1);
+            if (e->retry_after_ms != 7) bad_hint.fetch_add(1);
           } else {
             unexpected.fetch_add(1);
           }
@@ -283,16 +386,14 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
     });
   }
   for (auto& t : threads) t.join();
-
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_EQ(bad_hint.load(), 0);
-  EXPECT_GT(observed.load(), 0u);  // the gate actually engaged
 
   // The shed counter matches the Overloaded responses observed on the
   // wire exactly — nothing double-counted, nothing silently dropped.
   const auto stats = server.stats();
   EXPECT_EQ(stats.shed_overload, observed.load());
-  EXPECT_EQ(stats.local + stats.forwarded + stats.shed_overload, stats.requests);
+  EXPECT_EQ(stats.local + stats.shed_overload, stats.requests);
 
   // The wire-level StatsRequest reports the same counters (it bypasses
   // the admission gate, so overload is observable while it happens).
@@ -301,8 +402,9 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
   const auto resp = probe.call(api::StatsRequest{});
   const auto* wire_stats = std::get_if<api::StatsResponse>(&resp);
   ASSERT_NE(wire_stats, nullptr);
-  EXPECT_EQ(wire_stats->shards, 2u);
+  EXPECT_EQ(wire_stats->shards, 1u);
   EXPECT_EQ(wire_stats->shed_overload, observed.load());
+  EXPECT_EQ(wire_stats->forwarded, 0u);
   probe.close();
 
   // A RetryClient rides through the same gate transparently.
@@ -315,6 +417,7 @@ TEST_F(ServeChaos, OverloadShedsStructuredErrorsAndCountersMatch) {
     EXPECT_TRUE(std::holds_alternative<api::RunLookupResponse>(answered));
   }
   retry.close();
+  holder.close();
   server.stop();
 }
 
@@ -371,17 +474,7 @@ TEST_F(ServeChaos, StalledMidFrameConnectionIsEvicted) {
   Server server(std::move(opt));
   server.start();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  // dfv-lint: allow(blocking-io): a deliberately raw peer, staged to stall
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  write_frame(fd, hello_payload(api::kApiVersion));
-  const auto hello = read_frame(fd, 2000);
-  ASSERT_TRUE(hello.has_value());
+  const int fd = raw_connect(server.port());
 
   // Start a frame (100 announced bytes), deliver only the header, stall.
   const char header[4] = {100, 0, 0, 0};
@@ -407,91 +500,51 @@ TEST_F(ServeChaos, StalledMidFrameConnectionIsEvicted) {
 }
 
 TEST_F(ServeChaos, DrainTimeoutAnswersPendingRequestsWithShutdownError) {
-  // The owner shard of the MILC keys is held inside the handler hook on a
-  // gate the test opens only after stop()'s drain deadline has expired,
-  // so the victim's forwarded request is still pending at the deadline
-  // however fast the host handles requests.
-  const std::size_t owner = shard_of(key_fingerprint("MILC", 128), 2);
-  std::uint32_t owned_run = 0;
-  while (shard_of(key_fingerprint("MILC", 128, owned_run), 2) != owner) ++owned_run;
-
+  // One connection delivers two requests in a single write, so the shard
+  // buffers both in one read. It is held inside the handler hook on the
+  // first until stop() has given up on the drain (phase Closing); the
+  // second, fully received but not yet handled, must then be answered
+  // ShuttingDown, neither handled nor dropped.
   Gate held, release;
   ServerOptions opt = server_options(2);
   opt.drain_timeout_ms = 400;
-  opt.before_handle = [&held, &release, owner,
-                       first = std::make_shared<std::atomic<bool>>(true)](std::size_t shard) {
-    if (shard != owner || !first->exchange(false)) return;
-    held.open();
-    release.wait();
-  };
+  opt.before_handle = hold_first(held, release);
   Server server(std::move(opt));
-  // Whatever fails below, the owner shard must be let go before the
-  // server is torn down.
-  struct Releaser {
-    explicit Releaser(Gate& g) : gate(g) {}
-    Releaser(const Releaser&) = delete;
-    Releaser& operator=(const Releaser&) = delete;
-    ~Releaser() { gate.open(); }
-    Gate& gate;
-  } releaser{release};
+  const Releaser releaser{release};
   server.start();
 
-  // Round-robin dealing: connection i lands on shard i % 2. The holder's
-  // connection lands on the owner, the victim's on the other shard, so
-  // the victim's request must forward to the owner.
-  Client holder;
-  Client victim;
-  if (owner == 0) {
-    ASSERT_EQ(holder.connect(server.port()), std::nullopt);  // conn 0 → shard 0
-    ASSERT_EQ(victim.connect(server.port()), std::nullopt);  // conn 1 → shard 1
-  } else {
-    ASSERT_EQ(victim.connect(server.port()), std::nullopt);  // conn 0 → shard 0
-    ASSERT_EQ(holder.connect(server.port()), std::nullopt);  // conn 1 → shard 1
-  }
+  const int fd = raw_connect(server.port());
+  const std::string req =
+      framed(api::encode_request(api::RunLookupRequest{}.app("MILC").nodes(128).run(1)));
+  const std::string both = req + req;
+  write_all(fd, both.data(), both.size());
+  ASSERT_TRUE(held.wait_for(std::chrono::seconds(60))) << "the shard never handled";
 
-  // May be answered in full or cut by the phase-2 close — both acceptable
-  // ends for the holder.
-  std::thread holder_thread([&holder, owned_run] {
-    try {
-      (void)holder.call_raw(api::RunLookupRequest{}.app("MILC").nodes(128).run(owned_run));
-    } catch (const TransportError&) {
-    }
-  });
-  ASSERT_TRUE(held.wait_for(std::chrono::seconds(60))) << "owner shard never handled";
-
-  const std::uint64_t forwarded_before = server.stats().forwarded;
-  api::Response victim_resp;
-  bool victim_threw = false;
-  std::thread victim_thread([&] {
-    try {
-      victim_resp =
-          victim.call(api::RunLookupRequest{}.app("MILC").nodes(128).run(owned_run));
-    } catch (const TransportError&) {
-      victim_threw = true;
-    }
-  });
-  // The victim's request sits in the held owner's mailbox once the
-  // origin shard has counted it forwarded.
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.stats().forwarded == forwarded_before) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "victim's request never forwarded";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // The drain deadline expires while the owner is held; the victim's
-  // shard then answers it ShuttingDown, and only after that answer has
-  // arrived is the owner released so stop() can join it.
   std::thread stopper([&server] { server.stop(); });
-  victim_thread.join();
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool closing = true;
+  while (server.phase() != Server::Phase::Closing) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      closing = false;
+      break;
+    }
+    std::this_thread::yield();
+  }
   release.open();
   stopper.join();
-  holder_thread.join();
+  ASSERT_TRUE(closing) << "stop() never gave up on the drain";
 
-  ASSERT_FALSE(victim_threw);
-  const auto* err = std::get_if<api::ErrorResponse>(&victim_resp);
+  const auto answered = read_frame(fd, 10'000);
+  const auto aborted = read_frame(fd, 10'000);
+  ::close(fd);
+  ASSERT_TRUE(answered.has_value() && aborted.has_value());
+  // The held request was already being handled: it completes.
+  EXPECT_TRUE(std::holds_alternative<api::RunLookupResponse>(api::decode_response(*answered)));
+  const api::Response resp = api::decode_response(*aborted);
+  const auto* err = std::get_if<api::ErrorResponse>(&resp);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, api::ErrorCode::ShuttingDown);
-  EXPECT_GE(server.stats().shutdown_aborted, 1u);
+  EXPECT_EQ(server.stats().shutdown_aborted, 1u);
 }
 
 TEST(ServeProtocol, PeerDeathAndMalformedFramesAreDistinctErrors) {
