@@ -241,6 +241,67 @@ void BM_GbrFitBinned(benchmark::State& state) {
 }
 BENCHMARK(BM_GbrFitBinned)->Unit(benchmark::kMillisecond);
 
+/// 100k x 41 external-memory view (caller-owned feature-major codes, as
+/// the column store maps them): the longitudinal training shape, far
+/// above the tree's record-layout threshold.
+struct OutOfCoreView {
+  static constexpr std::size_t kRows = 100'000, kFeatures = 41;
+  std::vector<std::uint8_t> codes;
+  std::vector<double> y;
+  ml::BinnedDataset data;
+  OutOfCoreView() {
+    Rng rng(21);
+    std::vector<std::vector<double>> edges(kFeatures);
+    for (std::size_t f = 0; f < kFeatures; ++f)
+      for (int e = 0; e < 23; ++e) edges[f].push_back(double(e));
+    codes.resize(kRows * kFeatures);
+    for (std::uint8_t& c : codes) c = std::uint8_t(rng.uniform_index(24));
+    y.resize(kRows);
+    for (std::size_t r = 0; r < kRows; ++r)
+      y[r] = 0.2 * codes[3 * kRows + r] + std::sin(0.3 * codes[17 * kRows + r]) +
+             0.1 * rng.normal();
+    data = ml::BinnedDataset(std::move(edges), codes.data(), kRows);
+  }
+};
+
+const OutOfCoreView& out_of_core_view() {
+  static const OutOfCoreView v;
+  return v;
+}
+
+void BM_TreeFitOutOfCore(benchmark::State& state) {
+  // One boosting-sized tree (a 40% subsample, default depth) over the
+  // out-of-core view: the node-scan layout at longitudinal scale.
+  const OutOfCoreView& v = out_of_core_view();
+  Rng rng(22);
+  const std::vector<std::size_t> rows =
+      rng.sample_without_replacement(v.kRows, v.kRows * 2 / 5);
+  const ml::FeatureMask mask = ml::FeatureMask::all(v.kFeatures);
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    ml::RegressionTree tree;
+    tree.record_fitted_leaves(false);
+    tree.fit(v.data, v.y, rows, mask, ml::TreeParams{});
+    nodes += tree.node_count();
+    benchmark::DoNotOptimize(tree.predict_binned(v.data, 0));
+  }
+  state.SetItemsProcessed(std::int64_t(nodes));
+}
+BENCHMARK(BM_TreeFitOutOfCore)->Unit(benchmark::kMillisecond);
+
+void BM_GbrFitOutOfCore(benchmark::State& state) {
+  // The default 60-tree ensemble over every row of the out-of-core view
+  // (the `longitudinal` workload's GBR stage on synthetic codes).
+  const OutOfCoreView& v = out_of_core_view();
+  const ml::FeatureMask mask = ml::FeatureMask::all(v.kFeatures);
+  for (auto _ : state) {
+    ml::GradientBoostedRegressor gbr;
+    gbr.fit(v.data, v.y, mask);
+    benchmark::DoNotOptimize(gbr.predict_binned(v.data, 0));
+  }
+}
+BENCHMARK(BM_GbrFitOutOfCore)->Unit(benchmark::kMillisecond);
+
 void BM_RfeCv(benchmark::State& state) {
   // The full deviation-prediction inner loop (RFE + 10-fold CV) at the
   // default `dfv deviation` parameters on a 13-counter design matrix —

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: static analysis (dfv-lint + strict warnings), then
-# configure + build + full ctest, then rebuild the concurrency-sensitive
-# targets under ThreadSanitizer and run the exec pool and campaign
-# determinism tests with real data races fatal.
+# configure + build + full ctest, the serve chaos repeat (RelWithDebInfo
+# and Release), bench smoke runs, the tree-training suites under
+# ASan+UBSan, then rebuild the concurrency-sensitive targets under
+# ThreadSanitizer and run them with real data races fatal.
 #
 #   scripts/tier1.sh            # full run
 #   DFV_SKIP_TSAN=1 scripts/tier1.sh   # skip the TSan stage
@@ -34,13 +35,19 @@ echo "strict build: clean"
 # passes when the timing happens to line up.
 echo "=== chaos repeat (test_serve_chaos x20) ==="
 ./build/tests/test_serve_chaos --gtest_repeat=20 --gtest_brief=1
+# The same repeat in a Release build, where handling runs fastest: a
+# timing assumption that only breaks at full optimization shows here.
+echo "=== chaos repeat, Release (test_serve_chaos x20) ==="
+cmake --preset release >/dev/null
+cmake --build build-release -j --target test_serve_chaos
+./build-release/tests/test_serve_chaos --gtest_repeat=20 --gtest_brief=1
 
 # Benchmark smoke run: the perf binaries must build and execute (one
 # iteration each), so perf-path regressions that only compile under the
 # bench target cannot slip through tier-1. Numbers from this run are
 # meaningless; scripts/bench.sh produces the real trajectory.
 ./build/bench/micro_benchmarks \
-  --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid' \
+  --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_TreeFitOutOfCore|BM_GbrFitOutOfCore|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid' \
   --benchmark_min_time=0.01 >/dev/null
 # Campaign-layer smoke: adaptive path choice, one MILC step's flow
 # transfer, per-job counter synthesis and the system-wide LDMS scan.
@@ -63,11 +70,24 @@ echo "=== chaos repeat (test_serve_chaos x20) ==="
 ./build/bench/bench_store --runs 20000 --campaign-days 3 >/dev/null
 echo "bench smoke: OK"
 
+# AddressSanitizer + UBSan over the tree-training suites: node scans,
+# record gathers and in-place record swaps index raw buffers, and the
+# column store feeds them mmap'd codes; any out-of-bounds access or
+# undefined arithmetic aborts the stage.
+echo "=== ASan+UBSan pass (tree, binned, gbr, rfe, store, tree kernels) ==="
+cmake --preset asan >/dev/null
+cmake --build build-asan -j --target test_tree test_binned test_gbr test_rfe test_store \
+  test_tree_kernels
+for t in test_tree test_binned test_gbr test_rfe test_store test_tree_kernels; do
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/tests/$t --gtest_brief=1
+done
+
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "=== ThreadSanitizer pass (exec, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="
+  echo "=== ThreadSanitizer pass (exec, campaign, faults, cache, store, gbr, rfe, tree kernels, attention, compiled, forecast, api, serve) ==="
   cmake --preset tsan
   cmake --build build-tsan -j --target test_exec test_campaign test_faults \
-    test_cache_integrity test_store test_gbr test_rfe test_attention \
+    test_cache_integrity test_store test_gbr test_rfe test_tree_kernels test_attention \
     test_compiled test_forecast test_api test_serve test_serve_chaos
   # TSan needs real concurrency to observe races; force an oversubscribed
   # pool so worker interleavings actually happen even on small machines.
@@ -84,6 +104,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # GBR/RFE suites race-check them end to end.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_gbr
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_rfe
+  # Golden tree fits at pool widths 1 and 4, both node-scan layouts.
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_tree_kernels
   # The attention fast path runs slab-parallel minibatches and the
   # forecast grid nests cell/fold tasks over the shared window cache;
   # both are race-checked, including the 1/2/8-thread identity sweeps.

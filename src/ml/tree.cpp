@@ -15,6 +15,15 @@ namespace {
 /// order, so the result never depends on the thread count).
 constexpr std::size_t kParallelNodeSize = 2048;
 
+/// Views whose active code columns (rows x active features bytes) exceed
+/// this scan their nodes from row-ordered records instead of the columns.
+/// Measured on a 4-vCPU Xeon VM (48 KiB L1d, 2 MiB L2 per core; 12-tree
+/// GBR fits at pool width 1, records / columns time): below ~470 KB the
+/// columns stay cache-resident and the record gather and swaps only cost
+/// (4.8k x 13: 1.53, 20k x 23: 1.06); from 480 KB up records win (40k x 12:
+/// 0.72, 130k x 4: 0.96, 100k x 41: 0.40). See DESIGN §8.
+constexpr std::size_t kRecordViewBytes = std::size_t(512) << 10;
+
 bool can_split(std::size_t n, int depth, const TreeParams& p) {
   return depth < p.max_depth && n >= 2 * std::size_t(p.min_samples_leaf);
 }
@@ -48,6 +57,9 @@ void RegressionTree::fit(const BinnedDataset& data, std::span<const double> y,
   DFV_CHECK(mask.active.size() == data.features());
   DFV_CHECK(params.max_depth >= 1 && params.histogram_bins >= 2 &&
             params.histogram_bins <= 256);
+  for (std::size_t f = 0; f < data.features(); ++f)
+    DFV_CHECK_MSG(!mask.test(f) || data.edges(f).size() < std::size_t(params.histogram_bins),
+                  "tree fit: a feature has more bins than TreeParams::histogram_bins");
   data_ = &data;
   mask_ = &mask;
   y_ = y;
@@ -81,6 +93,9 @@ void RegressionTree::fit(const BinnedDataset& data, std::span<const double> y,
   if (can_split(n, 0, params_)) {
     hist_arena_.resize(std::size_t(params_.max_depth) + 1);
     root_hist = &hist_arena_[0];
+    for (std::size_t f = 0; f < data.features(); ++f)
+      if (mask.test(f)) active_.push_back(std::uint32_t(f));
+    if (data.rows() * active_.size() > kRecordViewBytes) gather_records(n);
     scan_hist(0, n, *root_hist);
   }
   (void)build(0, n, 0, sum, root_hist);  // root lands at node index 0
@@ -96,10 +111,87 @@ void RegressionTree::fit(const BinnedDataset& data, std::span<const double> y,
   samples_ = std::vector<std::uint32_t>();
   scan_rows_ = std::vector<std::uint32_t>();
   scan_y_ = std::vector<double>();
+  active_ = std::vector<std::uint32_t>();
+  records_ = std::vector<std::uint8_t>();
+  residuals_ = std::vector<double>();
   data_ = nullptr;
   mask_ = nullptr;
   y_ = {};
   baseline_ = {};
+}
+
+void RegressionTree::gather_records(std::size_t n) {
+  DFV_CHECK(data_ != nullptr && n == local_rows_.size());
+  // Record p holds local sample p's active codes and fit target, so the
+  // root node is positions [0, n) in samples_ order. The source columns
+  // are read in ascending row order: mark every pick's position in the
+  // row map, then walk the map once; each column streams forward instead
+  // of taking one random load per (pick, feature).
+  const std::size_t A = active_.size();
+  const std::size_t R = data_->rows();
+  records_.resize(n * A);
+  residuals_.resize(n);
+  std::vector<const std::uint8_t*> columns(A);
+  for (std::size_t k = 0; k < A; ++k) columns[k] = data_->feature_codes(active_[k]).data();
+
+  const double* base = baseline_.empty() ? nullptr : baseline_.data();
+  const auto put = [&](std::size_t p, std::size_t row) {
+    std::uint8_t* rec = records_.data() + p * A;
+    for (std::size_t k = 0; k < A; ++k) rec[k] = columns[k][row];
+    residuals_[p] = base ? y_[row] - base[row] : y_[row];
+  };
+  std::vector<std::uint32_t> pos_of_row(R, 0);  // matrix row -> position + 1
+  std::size_t marked = 0;
+  while (marked < n && pos_of_row[local_rows_[marked]] == 0) {
+    pos_of_row[local_rows_[marked]] = std::uint32_t(marked + 1);
+    ++marked;
+  }
+  if (marked == n) {
+    for (std::size_t row = 0; row < R; ++row)
+      if (pos_of_row[row] != 0) put(pos_of_row[row] - 1, row);
+  } else {
+    // A row picked twice has no single position: gather in position
+    // order instead (same records, random column loads).
+    for (std::size_t p = 0; p < n; ++p) put(p, local_rows_[p]);
+  }
+}
+
+void RegressionTree::scan_records(std::size_t begin, std::size_t end, Hist& h) {
+  DFV_CHECK(begin <= end && end <= residuals_.size());
+  // One pass over the node's contiguous records updates every active
+  // feature's bins. Each feature's slab still receives its samples in
+  // ascending position order, exactly as the column scan adds them, so
+  // every sum keeps its bits whatever the feature blocking.
+  const std::size_t A = active_.size();
+  const std::uint8_t* records = records_.data();
+  const double* residuals = residuals_.data();
+  const std::uint32_t* active = active_.data();
+  const std::size_t bins = bins_;
+  const auto scan_slots = [&](std::size_t k_lo, std::size_t k_hi) {
+    double* sum = h.sum.data();
+    std::uint32_t* cnt = h.cnt.data();
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::uint8_t* rec = records + p * A;
+      const double v = residuals[p];
+      for (std::size_t k = k_lo; k < k_hi; ++k) {
+        const std::size_t i = active[k] * bins + rec[k];
+        sum[i] += v;
+        ++cnt[i];
+      }
+    }
+  };
+  // Feature blocks are disjoint slabs, so their count may follow the pool
+  // width without touching a result: one block per lane, and a single
+  // pass when the pool has one lane or the fit already runs inside a
+  // parallel region (RFE folds), where chunks would only run serially.
+  auto& pool = exec::ThreadPool::instance();
+  const std::size_t lanes = exec::ThreadPool::in_parallel_region()
+                                ? 1
+                                : std::min(A, std::size_t(pool.size()));
+  if (end - begin >= kParallelNodeSize && lanes >= 2)
+    exec::parallel_for(0, A, (A + lanes - 1) / lanes, scan_slots);
+  else
+    scan_slots(0, A);
 }
 
 void RegressionTree::scan_hist(std::size_t begin, std::size_t end, Hist& h) {
@@ -107,6 +199,10 @@ void RegressionTree::scan_hist(std::size_t begin, std::size_t end, Hist& h) {
   const std::size_t F = data_->features();
   h.sum.assign(F * bins_, 0.0);
   h.cnt.assign(F * bins_, 0u);
+  if (!records_.empty()) {
+    scan_records(begin, end, h);
+    return;
+  }
   // Gather the node's matrix rows and targets once; every feature scan
   // then reads them sequentially instead of re-chasing samples_ ->
   // local_rows_ -> y_ per feature. The gather is deliberately NOT
@@ -204,12 +300,39 @@ std::int32_t RegressionTree::build(std::size_t begin, std::size_t end, int depth
 
   gains_[std::size_t(best_feature)] += best_gain;
 
-  // Partition samples in place: code <= best_bin goes left.
-  const std::uint8_t* codes = data_->feature_codes(std::size_t(best_feature)).data();
+  const std::size_t left_n = best_left_cnt, right_n = n - best_left_cnt;
+  const bool need_left = can_split(left_n, depth + 1, params_);
+  const bool need_right = can_split(right_n, depth + 1, params_);
+
+  // Partition samples in place: code <= best_bin goes left. Records and
+  // residuals replay the same swaps, so position p keeps describing
+  // samples_[p] and every child sees today's addition order; they only
+  // move while a descendant will scan them.
   std::size_t mid = begin;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (codes[local_rows_[samples_[i]]] <= best_bin)
-      std::swap(samples_[i], samples_[mid++]);
+  if (!records_.empty()) {
+    const std::size_t A = active_.size();
+    const std::size_t slot = std::size_t(
+        std::lower_bound(active_.begin(), active_.end(), std::uint32_t(best_feature)) -
+        active_.begin());
+    const bool move_records = need_left || need_right;
+    for (std::size_t i = begin; i < end; ++i) {
+      std::uint8_t* rec = records_.data() + i * A;
+      if (rec[slot] > best_bin) continue;
+      if (i != mid) {
+        std::swap(samples_[i], samples_[mid]);
+        if (move_records) {
+          std::swap_ranges(rec, rec + A, records_.data() + mid * A);
+          std::swap(residuals_[i], residuals_[mid]);
+        }
+      }
+      ++mid;
+    }
+  } else {
+    const std::uint8_t* codes = data_->feature_codes(std::size_t(best_feature)).data();
+    for (std::size_t i = begin; i < end; ++i) {
+      if (codes[local_rows_[samples_[i]]] <= best_bin)
+        std::swap(samples_[i], samples_[mid++]);
+    }
   }
   DFV_CHECK(mid - begin == best_left_cnt);
 
@@ -222,10 +345,7 @@ std::int32_t RegressionTree::build(std::size_t begin, std::size_t end, int depth
   // the sibling as parent − child (in place, so the parent's buffer is
   // reused down the recursion and the arena stays one slab per level).
   // Which child is scanned depends only on the split, never on threads.
-  const std::size_t left_n = mid - begin, right_n = end - mid;
   const double left_sum = best_left_sum, right_sum = node_sum - best_left_sum;
-  const bool need_left = can_split(left_n, depth + 1, params_);
-  const bool need_right = can_split(right_n, depth + 1, params_);
   Hist* left_hist = nullptr;
   Hist* right_hist = nullptr;
   if (need_left || need_right) {

@@ -7,6 +7,16 @@
 // trick: only the smaller child of a split is scanned; the sibling's
 // histogram is derived as parent − child, so a full level of the tree
 // costs one pass over the node's samples instead of two.
+//
+// Node scans read one of two layouts, chosen per fit by the view's size
+// and invisible in the result. Small views (rows x active features within
+// a cache-sized bound) scan the view's feature-major code columns at each
+// node's sample rows. Large views (the out-of-core store's) first gather
+// every sampled row's active codes and target into a row-major record
+// buffer, read in ascending row order, and keep it in the samples'
+// partition order with the same swaps; a node scan is then one sequential
+// pass over contiguous records. Either way each histogram bin adds its
+// samples in the same order, so fitted trees are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +57,8 @@ class RegressionTree {
   /// matrix row (y.size() == data.rows()). Splits, gains, and thresholds
   /// are reported in the *global* feature index space, so the fitted
   /// tree predicts from full-width rows without any column selection.
+  /// Every active feature's codes must fit the histograms:
+  /// `data.edges(f).size() < params.histogram_bins` (contract-checked).
   void fit(const BinnedDataset& data, std::span<const double> y,
            std::span<const std::size_t> rows, const FeatureMask& mask,
            const TreeParams& params);
@@ -108,6 +120,8 @@ class RegressionTree {
   };
 
   void scan_hist(std::size_t begin, std::size_t end, Hist& h);
+  void scan_records(std::size_t begin, std::size_t end, Hist& h);
+  void gather_records(std::size_t n);
   [[nodiscard]] std::int32_t build(std::size_t begin, std::size_t end, int depth, double node_sum,
                      Hist* hist);
 
@@ -123,6 +137,10 @@ class RegressionTree {
   std::vector<Hist> hist_arena_;           ///< one buffer per depth level
   std::vector<std::uint32_t> scan_rows_;   ///< per-scan gathered matrix rows
   std::vector<double> scan_y_;             ///< per-scan gathered targets
+  // Row-ordered node records (large views only; empty otherwise).
+  std::vector<std::uint32_t> active_;      ///< record slot -> global feature
+  std::vector<std::uint8_t> records_;      ///< [position * active_.size() + slot]
+  std::vector<double> residuals_;          ///< [position] fit target
 
   std::vector<Node> nodes_;
   std::vector<double> gains_;

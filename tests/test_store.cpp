@@ -478,6 +478,28 @@ TEST_F(StoreTest, RfeOutOfCoreIsBitIdenticalToInRam) {
   EXPECT_THROW((void)ml::rfe_cv(view.binned(), y, params), ContractError);
 }
 
+TEST_F(StoreTest, ViewWithMoreBinsThanTheTreeIsAContractError) {
+  // A view binned finer than the fit's histograms has codes past each
+  // feature's histogram slab; the fit must refuse it, not write past it.
+  const std::string dir = scratch("store_view_bins");
+  const auto pin = make_training_store(dir, 1200);
+  store::TrainingSpec spec = training_spec();
+  spec.bins = 32;
+  const store::TrainingView view = store::TrainingView::build(pin, spec);
+  ASSERT_GT(view.binned().edges(0).size() + 1, std::size_t(ml::TreeParams{}.histogram_bins));
+
+  ml::GbrParams params;  // 24 histogram bins
+  params.n_trees = 2;
+  ml::GradientBoostedRegressor gbr(params);
+  EXPECT_THROW(gbr.fit(view.binned(), view.y(), ml::FeatureMask::all(view.features())),
+               ContractError);
+
+  params.tree.histogram_bins = spec.bins;
+  ml::GradientBoostedRegressor matched(params);
+  matched.fit(view.binned(), view.y(), ml::FeatureMask::all(view.features()));
+  EXPECT_EQ(matched.tree_count(), 2u);
+}
+
 TEST_F(StoreTest, SidecarsAreReusedAndStaleOnesCollected) {
   const std::string dir = scratch("store_view_sidecar");
   {
